@@ -7,23 +7,39 @@ entanglement depends on the drive phase.  The contrast ratio
 direction and 0 when both directions are equivalent.
 
 The sweep engine evaluates measures over 1-D or 2-D parameter grids in
-deterministic row-major order, optionally in parallel; unstable grid
-points are recorded with null measures instead of aborting the run.
+deterministic row-major order, in batches of operating points that share
+one eigensolve, one Lyapunov solve and one measure evaluation; unstable
+and failed grid points are recorded with null measures instead of
+aborting the run.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, NoMeasuresError
-from .gaussian import CovarianceMatrix, Partition, log_negativity, min_residual_contangle
-from .model import TWO_PI, SystemParams, ValidityReport, build_diffusion, build_drift, validity_report
-from .solver import solve_lyapunov, stability
+from .errors import (
+    ConfigError,
+    InvalidInputError,
+    MagsqueezeError,
+    NoMeasuresError,
+    NoSteadyStateError,
+    ParametricResonanceError,
+)
+from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
+from .model import (
+    TWO_PI,
+    SystemParams,
+    ValidityReport,
+    build_diffusion,
+    build_drift,
+    derive,
+    validity_report,
+)
+from .solver import steady_stack
 
 __all__ = [
     "MODE_INDEX",
@@ -37,6 +53,8 @@ __all__ = [
     "bipartite_entanglement",
     "contrast_ratio",
     "directional_measures",
+    "Evaluation",
+    "evaluate",
     "steady_state",
     "sweep",
     "temperature_thresholds",
@@ -52,6 +70,10 @@ SWEEP_AXES: frozenset[str] = frozenset(
 IDEAL_CONTRAST: float = 0.99
 
 _CONTRAST_FLOOR: float = 1e-12
+
+# Operating points solved per batch; bounds the size of the (n, 36, 36)
+# Lyapunov systems held at once.
+_CHUNK: int = 64
 
 
 class ModePair(enum.Enum):
@@ -126,7 +148,11 @@ class ContrastRecord:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point of a sweep; contrast fields are None without a pairing."""
+    """One grid point of a sweep; contrast fields are None without a pairing.
+
+    ``failed`` marks a null record whose point raised (see ``sweep``)
+    instead of being solved as stable or unstable.
+    """
 
     axis_values: tuple[float, ...]
     stable: bool
@@ -140,6 +166,7 @@ class SweepRecord:
     c_r: float | None = None
     backward_stable: bool | None = None
     validity: ValidityReport | None = None
+    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,9 +186,73 @@ class SweepResult:
             )
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """Per-point outcomes of ``evaluate`` for ``n`` operating points.
+
+    ``max_real_part`` is the largest real part of each drift spectrum and
+    ``covariances`` the (n, 6, 6) Lyapunov solutions, both NaN where they
+    could not be formed.  ``errors[k]`` is None for a stable point,
+    ``NoSteadyStateError`` for an unstable one and otherwise the exception
+    the scalar path raises for it.  ``measures`` holds E_am, E_ab, E_mb and
+    R_min per row, NaN unless the point is stable.
+    """
+
+    max_real_part: np.ndarray
+    covariances: np.ndarray
+    measures: np.ndarray
+    errors: list[MagsqueezeError | None]
+
+
+def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Evaluation:
+    """Steady states and, unless ``with_measures`` is False, measures of operating points.
+
+    ``derive`` runs once per point and feeds both the drift and the
+    diffusion; stability, the Lyapunov solve and the measures run batched
+    over up to ``_CHUNK`` points at a time.
+    """
+    n = len(points)
+    max_real = np.full(n, np.nan)
+    covariances = np.full((n, 6, 6), np.nan)
+    measures = np.full((n, 4), np.nan)
+    errors: list[MagsqueezeError | None] = [None] * n
+    for start in range(0, n, _CHUNK):
+        solved, gammas, diffusions = [], [], []
+        for k in range(start, min(start + _CHUNK, n)):
+            try:
+                derived = derive(points[k])
+            except ParametricResonanceError as exc:
+                errors[k] = exc
+                continue
+            solved.append(k)
+            gammas.append(build_drift(points[k], derived))
+            diffusions.append(build_diffusion(points[k], derived))
+        if not solved:
+            continue
+        stack = steady_stack(np.array(gammas), np.array(diffusions))
+        max_real[solved] = stack.max_real_part
+        covariances[solved] = stack.covariances
+        for k, error in zip(solved, stack.errors):
+            errors[k] = error
+        steady = [k for k in solved if errors[k] is None]
+        if with_measures and steady:
+            measures[steady], measure_errors = three_mode_measures(covariances[steady])
+            for k, error in zip(steady, measure_errors):
+                errors[k] = error
+    return Evaluation(max_real, covariances, measures, errors)
+
+
+def _failed(error: MagsqueezeError | None) -> bool:
+    """An error other than plain instability: the point has no verdict."""
+    return error is not None and not isinstance(error, NoSteadyStateError)
+
+
 def steady_state(params: SystemParams) -> CovarianceMatrix:
     """Steady covariance matrix at one operating point (drift must be stable)."""
-    return solve_lyapunov(build_drift(params), build_diffusion(params))
+    evaluation = evaluate([params], with_measures=False)
+    if evaluation.errors[0] is not None:
+        raise evaluation.errors[0]
+    return CovarianceMatrix(evaluation.covariances[0])
 
 
 def bipartite_entanglement(v: CovarianceMatrix, pair: ModePair) -> float:
@@ -184,19 +275,11 @@ def contrast_ratio(forward: float, backward: float) -> float:
     return abs(forward - backward) / total
 
 
-def _point_measures(params: SystemParams) -> DirectionalPoint:
-    gamma = build_drift(params)
-    if not stability(gamma).is_stable:
-        return DirectionalPoint(params.theta, False, None, None, None, None)
-    v = solve_lyapunov(gamma, build_diffusion(params))
-    return DirectionalPoint(
-        theta=params.theta,
-        stable=True,
-        e_am=bipartite_entanglement(v, ModePair.CAVITY_MAGNON),
-        e_ab=bipartite_entanglement(v, ModePair.CAVITY_PHONON),
-        e_mb=bipartite_entanglement(v, ModePair.MAGNON_PHONON),
-        r_min=min_residual_contangle(v),
-    )
+def _point(evaluation: Evaluation, k: int, theta: float) -> DirectionalPoint:
+    if evaluation.errors[k] is not None:
+        return DirectionalPoint(theta, False, None, None, None, None)
+    e_am, e_ab, e_mb, r_min = (float(x) for x in evaluation.measures[k])
+    return DirectionalPoint(theta, True, e_am, e_ab, e_mb, r_min)
 
 
 def _zero_filled(point: DirectionalPoint) -> tuple[float, float, float, float]:
@@ -207,17 +290,7 @@ def _zero_filled(point: DirectionalPoint) -> tuple[float, float, float, float]:
     return point.e_am, point.e_ab, point.e_mb, point.r_min
 
 
-def directional_measures(params: SystemParams, pairing: PhasePairing) -> ContrastRecord:
-    """Solve both phases of a pairing and form the four contrast ratios.
-
-    Raises ``NoMeasuresError`` when neither phase admits a steady state.
-    """
-    forward = _point_measures(replace(params, theta=pairing.theta_forward))
-    backward = _point_measures(replace(params, theta=pairing.theta_backward))
-    if not forward.stable and not backward.stable:
-        raise NoMeasuresError(
-            "neither phase setting of the pairing admits a steady state"
-        )
+def _contrasts(forward: DirectionalPoint, backward: DirectionalPoint) -> ContrastRecord:
     f_am, f_ab, f_mb, f_r = _zero_filled(forward)
     b_am, b_ab, b_mb, b_r = _zero_filled(backward)
     return ContrastRecord(
@@ -228,6 +301,31 @@ def directional_measures(params: SystemParams, pairing: PhasePairing) -> Contras
         forward=forward,
         backward=backward,
     )
+
+
+def _phase_pair(params: SystemParams, pairing: PhasePairing) -> list[SystemParams]:
+    return [
+        replace(params, theta=pairing.theta_forward),
+        replace(params, theta=pairing.theta_backward),
+    ]
+
+
+def directional_measures(params: SystemParams, pairing: PhasePairing) -> ContrastRecord:
+    """Solve both phases of a pairing and form the four contrast ratios.
+
+    Raises ``NoMeasuresError`` when neither phase admits a steady state.
+    """
+    evaluation = evaluate(_phase_pair(params, pairing))
+    for error in evaluation.errors:
+        if _failed(error):
+            raise error
+    forward = _point(evaluation, 0, pairing.theta_forward)
+    backward = _point(evaluation, 1, pairing.theta_backward)
+    if not forward.stable and not backward.stable:
+        raise NoMeasuresError(
+            "neither phase setting of the pairing admits a steady state"
+        )
+    return _contrasts(forward, backward)
 
 
 def _validate_axes(
@@ -261,13 +359,12 @@ def _validate_axes(
     return tuple(cleaned)
 
 
-def _null_record(axis_values: tuple[float, ...], backward_stable: bool | None) -> SweepRecord:
+def _null_record(
+    axis_values: tuple[float, ...], backward_stable: bool | None, failed: bool = False
+) -> SweepRecord:
     return SweepRecord(
-        axis_values=axis_values,
-        stable=False,
-        e_am=None, e_ab=None, e_mb=None, r_min=None,
-        c_am=None, c_ab=None, c_mb=None, c_r=None,
-        backward_stable=backward_stable,
+        axis_values, False, None, None, None, None,
+        backward_stable=backward_stable, failed=failed,
     )
 
 
@@ -290,8 +387,11 @@ def sweep(
     ``kerr_coefficient`` is given and the parameters carry drive and
     geometry information, a per-point validity report is attached.
 
-    Record ordering is row-major over the axes and independent of
-    ``threads``.
+    A point that is unstable, or that fails (parametric resonance in the
+    steady amplitude, a Lyapunov residual above 1e-10, an unphysical
+    state), becomes a null record; failed ones are flagged ``failed``.
+    Record ordering is row-major over the axes.  ``threads`` is accepted
+    for compatibility and must be >= 1; evaluation is batched and serial.
     """
     grid_axes = _validate_axes(params_base, axes, pairing)
     selected = frozenset(measures) if measures is not None else frozenset(
@@ -306,6 +406,12 @@ def sweep(
     mesh = [tuple()]  # row-major cartesian product of axis values
     for _, grid in grid_axes:
         mesh = [prefix + (float(v),) for prefix in mesh for v in grid]
+    names = [name for name, _ in grid_axes]
+    grid_params = [replace(params_base, **dict(zip(names, values))) for values in mesh]
+    if pairing is None:
+        evaluation = evaluate(grid_params)
+    else:
+        evaluation = evaluate([p for params in grid_params for p in _phase_pair(params, pairing)])
 
     def mask(point: DirectionalPoint) -> dict[str, float | None]:
         return {
@@ -315,44 +421,40 @@ def sweep(
             "r_min": point.r_min if "R_min" in selected else None,
         }
 
-    def evaluate(axis_values: tuple[float, ...]) -> SweepRecord:
-        overrides = {name: value for (name, _), value in zip(grid_axes, axis_values)}
-        params = replace(params_base, **overrides)
-        validity: ValidityReport | None = None
-        if kerr_coefficient is not None:
-            try:
-                validity = validity_report(params, kerr_coefficient)
-            except InvalidInputError:
-                validity = None
-        if pairing is None:
-            point = _point_measures(params)
-            if not point.stable:
-                return _null_record(axis_values, None)
-            return SweepRecord(
-                axis_values=axis_values, stable=True, validity=validity, **mask(point)
-            )
+    def validity(params: SystemParams) -> ValidityReport | None:
+        if kerr_coefficient is None:
+            return None
         try:
-            record = directional_measures(params, pairing)
-        except NoMeasuresError:
-            return _null_record(axis_values, backward_stable=False)
-        return SweepRecord(
-            axis_values=axis_values,
-            stable=record.forward.stable,
-            c_am=record.c_am,
-            c_ab=record.c_ab,
-            c_mb=record.c_mb,
-            c_r=record.c_r,
-            backward_stable=record.backward.stable,
-            validity=validity,
-            **mask(record.forward),
-        )
+            return validity_report(params, kerr_coefficient)
+        except (InvalidInputError, ParametricResonanceError):
+            return None
 
-    if threads == 1:
-        records = tuple(evaluate(point) for point in mesh)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(evaluate, mesh))
-    return SweepResult(axes=grid_axes, records=records, pairing=pairing, base=params_base)
+    stride = 1 if pairing is None else 2
+    records: list[SweepRecord] = []
+    for index, (axis_values, params) in enumerate(zip(mesh, grid_params)):
+        first = stride * index
+        if any(_failed(e) for e in evaluation.errors[first:first + stride]):
+            records.append(_null_record(axis_values, None, failed=True))
+            continue
+        theta = params.theta if pairing is None else pairing.theta_forward
+        forward = _point(evaluation, first, theta)
+        contrasts: dict[str, float | bool] = {}
+        if pairing is not None:
+            backward = _point(evaluation, first + 1, pairing.theta_backward)
+            if not forward.stable and not backward.stable:
+                records.append(_null_record(axis_values, backward_stable=False))
+                continue
+            c = _contrasts(forward, backward)
+            contrasts = dict(c_am=c.c_am, c_ab=c.c_ab, c_mb=c.c_mb, c_r=c.c_r,
+                             backward_stable=backward.stable)
+        elif not forward.stable:
+            records.append(_null_record(axis_values, None))
+            continue
+        records.append(SweepRecord(
+            axis_values=axis_values, stable=forward.stable, validity=validity(params),
+            **mask(forward), **contrasts,
+        ))
+    return SweepResult(axes=grid_axes, records=tuple(records), pairing=pairing, base=params_base)
 
 
 _CONTRAST_COLUMNS: dict[str, str] = {

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import steady_state, sweep, temperature_thresholds
+from .analysis import evaluate, steady_state, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -24,8 +24,7 @@ from .errors import (
     ParametricResonanceError,
 )
 from .gaussian import wigner_single_mode
-from .model import build_drift, derive, rabi_frequency, total_spins, validity_report
-from .solver import stability
+from .model import derive, rabi_frequency, total_spins, validity_report
 from .tableio import ResultTable, sweep_table, write_csv, write_json
 
 __all__ = ["main"]
@@ -82,20 +81,21 @@ def _print_validity(config: RunConfig) -> bool | None:
 
 
 def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
-    report = stability(build_drift(config.params))
-    if not report.is_stable:
+    evaluation = evaluate([config.params])
+    max_real, error = float(evaluation.max_real_part[0]), evaluation.errors[0]
+    if isinstance(error, NoSteadyStateError):
         raise NoSteadyStateError(
-            f"no steady state: max drift eigenvalue real part = {_fmt(report.max_real_part)} rad/s"
+            f"no steady state: max drift eigenvalue real part = {_fmt(max_real)} rad/s"
         )
-    v = steady_state(config.params)
-    from .analysis import ModePair, bipartite_entanglement
-    from .gaussian import min_residual_contangle
+    if error is not None:
+        raise error
+    e_am, e_ab, e_mb, r_min = (float(x) for x in evaluation.measures[0])
 
-    print(f"stability: stable (max Re eigenvalue = {_fmt(report.max_real_part)} rad/s)")
-    print(f"E_am = {_fmt(bipartite_entanglement(v, ModePair.CAVITY_MAGNON))}")
-    print(f"E_ab = {_fmt(bipartite_entanglement(v, ModePair.CAVITY_PHONON))}")
-    print(f"E_mb = {_fmt(bipartite_entanglement(v, ModePair.MAGNON_PHONON))}")
-    print(f"R_min = {_fmt(min_residual_contangle(v))}")
+    print(f"stability: stable (max Re eigenvalue = {_fmt(max_real)} rad/s)")
+    print(f"E_am = {_fmt(e_am)}")
+    print(f"E_ab = {_fmt(e_ab)}")
+    print(f"E_mb = {_fmt(e_mb)}")
+    print(f"R_min = {_fmt(r_min)}")
     _print_validity(config)
 
     if config.dump_covariance:
@@ -103,7 +103,7 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
         labels = ["x_a", "p_a", "x_m", "p_m", "q", "p"]
         table = ResultTable(
             columns=labels,
-            rows=[tuple(float(x) for x in row) for row in v.data],
+            rows=[tuple(float(x) for x in row) for row in evaluation.covariances[0]],
             metadata=_base_metadata(config, "steady"),
         )
         path = out / "covariance.csv"
@@ -249,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", default=".", help="output directory (default: .)")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="also write JSON when set to json")
-        sub.add_argument("--threads", type=int, default=1, help="parallel sweep evaluations")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility (>= 1); sweeps run batched in one thread")
         sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key, e.g. --set upsilon_over_2pi_hz=3.9e6")
     return parser

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError, InvalidStateError, MagsqueezeError
 
 __all__ = [
     "CovarianceMatrix",
@@ -31,6 +31,7 @@ __all__ = [
     "contangle",
     "residual_contangle",
     "min_residual_contangle",
+    "three_mode_measures",
     "wigner_single_mode",
     "check_physicality",
 ]
@@ -161,13 +162,17 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
     InvalidInputError
         If ``v`` is not positive definite.
     """
-    arr = v.data
-    if float(np.linalg.eigvalsh(arr)[0]) <= 0.0:
+    if float(np.linalg.eigvalsh(v.data)[0]) <= 0.0:
         raise InvalidInputError("symplectic spectrum requires a positive definite matrix")
-    omega = symplectic_form(v.n_modes)
-    moduli = np.sort(np.abs(np.linalg.eigvals(1j * omega @ arr)))
+    return _symplectic_spectra(v.data)
+
+
+def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Ascending symplectic spectra of a (..., 2n, 2n) stack, positive definiteness assumed."""
+    n = arr.shape[-1] // 2
+    moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ arr)), axis=-1)
     # Adjacent entries belong to one +/- pair; average out rounding noise.
-    return moduli.reshape(v.n_modes, 2).mean(axis=1)
+    return moduli.reshape(*arr.shape[:-2], n, 2).mean(axis=-1)
 
 
 def partial_transpose(v: CovarianceMatrix, party: Iterable[int]) -> CovarianceMatrix:
@@ -190,13 +195,17 @@ def partial_transpose(v: CovarianceMatrix, party: Iterable[int]) -> CovarianceMa
     return CovarianceMatrix(p @ v.data @ p)
 
 
+def _unphysical(min_eigenvalue: float) -> InvalidStateError:
+    return InvalidStateError(
+        "covariance matrix violates the uncertainty bound "
+        f"(min eigenvalue of V + (i/2) Omega is {min_eigenvalue:.3e})"
+    )
+
+
 def _validated_physical(v: CovarianceMatrix) -> None:
     report = check_physicality(v)
     if not report.is_physical:
-        raise InvalidStateError(
-            "covariance matrix violates the uncertainty bound "
-            f"(min eigenvalue of V + (i/2) Omega is {report.min_eigenvalue:.3e})"
-        )
+        raise _unphysical(report.min_eigenvalue)
 
 
 def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
@@ -307,7 +316,65 @@ def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:
 
     A small negative tolerance of 1e-9 absorbs rounding in eigensolves.
     """
-    omega = symplectic_form(v.n_modes)
-    herm = v.data.astype(np.complex128) + 0.5j * omega
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
+    min_eig = float(_uncertainty_floor(v.data))
     return PhysicalityReport(is_physical=min_eig >= -PHYSICALITY_TOL, min_eigenvalue=min_eig)
+
+
+def _uncertainty_floor(arr: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Smallest eigenvalue of ``V + (i/2) Omega`` for each matrix of a (..., 2n, 2n) stack."""
+    omega = symplectic_form(arr.shape[-1] // 2)
+    return np.linalg.eigvalsh(arr.astype(np.complex128) + 0.5j * omega)[..., 0]
+
+
+# The six partitions behind the three-mode measures, as (kept modes,
+# transposed mode): the 1|1 pairs (0|1, 0|2, 1|2), then each mode against
+# the other two.
+_THREE_MODE_PARTITIONS: tuple[tuple[tuple[int, ...], int], ...] = (
+    ((0, 1), 0), ((0, 2), 0), ((1, 2), 1),
+    ((0, 1, 2), 0), ((0, 1, 2), 1), ((0, 1, 2), 2),
+)
+
+
+def three_mode_measures(
+    stack: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], tuple[MagsqueezeError | None, ...]]:
+    """``E(0|1)``, ``E(0|2)``, ``E(1|2)`` and the minimum residual tangle of (n, 6, 6) states.
+
+    Batched equivalent of ``log_negativity`` on the three mode pairs plus
+    ``min_residual_contangle``, from six negativities per state instead of
+    twelve and one physicality check.  Returns an (n, 4) array and, per
+    state, None or the exception the scalar functions raise for it; the
+    row of a failing state is NaN.
+    """
+    n, count = stack.shape[0], len(_THREE_MODE_PARTITIONS)
+    definite = np.empty((n, count), dtype=bool)
+    nu = np.empty((n, count))
+    for column, (modes, flipped) in enumerate(_THREE_MODE_PARTITIONS):
+        idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+        signs = np.ones(len(idx))
+        signs[2 * modes.index(flipped) + 1] = -1.0
+        transposed = stack[:, idx][:, :, idx] * np.outer(signs, signs)
+        definite[:, column] = np.linalg.eigvalsh(transposed)[:, 0] > 0.0
+        nu[:, column] = _symplectic_spectra(transposed)[:, 0]
+    errors: list[MagsqueezeError | None] = []
+    for floor, pd, spectrum in zip(_uncertainty_floor(stack), definite, nu):
+        if not floor >= -PHYSICALITY_TOL:
+            errors.append(_unphysical(float(floor)))
+        elif not pd.all():
+            errors.append(
+                InvalidInputError("symplectic spectrum requires a positive definite matrix")
+            )
+        elif not (spectrum > 0.0).all():
+            errors.append(InvalidStateError("partial transpose produced a non-positive spectrum"))
+        else:
+            errors.append(None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        negativities = np.maximum(0.0, -np.log(2.0 * nu))
+    tangles = negativities**2
+    residuals = [
+        tangles[:, 3 + focus] - (tangles[:, j] + tangles[:, k])
+        for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))
+    ]
+    out = np.column_stack([negativities[:, :3], np.maximum(0.0, np.minimum.reduce(residuals))])
+    out[[e is not None for e in errors]] = np.nan
+    return out, tuple(errors)

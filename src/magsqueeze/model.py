@@ -170,9 +170,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise InvalidInputError(f"omega must be positive, got {omega}")
     if temperature < 0.0:
         raise InvalidInputError(f"temperature must be non-negative, got {temperature}")
-    if temperature == 0.0:
+    kt = sc.k * temperature
+    if kt == 0.0:  # zero temperature, or one so small that k_B T underflows
         return 0.0
-    x = sc.hbar * omega / (sc.k * temperature)
+    x = sc.hbar * omega / kt
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)
@@ -408,15 +409,18 @@ def _coupling_magnitude(derived: DerivedQuantities, params: SystemParams) -> flo
     return abs(derived.G_m_effective)
 
 
-def build_drift(params: SystemParams) -> NDArray[np.float64]:
+def build_drift(
+    params: SystemParams, derived: DerivedQuantities | None = None
+) -> NDArray[np.float64]:
     """Drift matrix of the linearized quadrature dynamics.
 
     Row/column order ``(x_a, p_a, x_m, p_m, q, p)``.  The squeezing drive
     enters the magnon block only: the phase splits the effective magnon
     decay into ``kappa_m +/- upsilon*cos(theta)`` and the detuning into
-    ``delta_m_bar +/- upsilon*sin(theta)``.
+    ``delta_m_bar +/- upsilon*sin(theta)``.  ``derived`` is
+    ``derive(params)`` when the caller already has it.
     """
-    d = derive(params)
+    d = derive(params) if derived is None else derived
     g = _coupling_magnitude(d, params)
     return np.array(
         [
@@ -430,9 +434,14 @@ def build_drift(params: SystemParams) -> NDArray[np.float64]:
     )
 
 
-def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
-    """Diagonal input-noise matrix diag[kappa_a(2n_a+1) x2, kappa_m(2n_m+1) x2, 0, gamma_b(2n_b+1)]."""
-    d = derive(params)
+def build_diffusion(
+    params: SystemParams, derived: DerivedQuantities | None = None
+) -> NDArray[np.float64]:
+    """Diagonal input-noise matrix diag[kappa_a(2n_a+1) x2, kappa_m(2n_m+1) x2, 0, gamma_b(2n_b+1)].
+
+    ``derived`` is ``derive(params)`` when the caller already has it.
+    """
+    d = derive(params) if derived is None else derived
     cavity = params.kappa_a * (2.0 * d.n_a + 1.0)
     magnon = params.kappa_m * (2.0 * d.n_m + 1.0)
     phonon = params.gamma_b * (2.0 * d.n_b + 1.0)

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, NoSteadyStateError, NumericalError
+from .errors import InvalidInputError, MagsqueezeError, NoSteadyStateError, NumericalError
 from .gaussian import CovarianceMatrix
 
 __all__ = [
     "StabilityReport",
     "stability",
     "solve_lyapunov",
+    "SteadyStack",
+    "steady_stack",
     "evolve_covariance",
 ]
 
@@ -53,6 +55,12 @@ def _checked_square(matrix: NDArray[np.float64], name: str) -> NDArray[np.float6
     return arr
 
 
+def _stable(eigenvalues: NDArray[np.complex128]) -> NDArray[np.bool_]:
+    """Stability verdict of each spectrum along the last axis (see ``stability``)."""
+    scale = np.abs(eigenvalues).max(axis=-1)
+    return eigenvalues.real.max(axis=-1) < -STABILITY_MARGIN * scale
+
+
 def stability(gamma: NDArray[np.float64]) -> StabilityReport:
     """Classify a drift matrix by its eigenvalue spectrum.
 
@@ -62,13 +70,77 @@ def stability(gamma: NDArray[np.float64]) -> StabilityReport:
     """
     arr = _checked_square(gamma, "gamma")
     eigenvalues = np.linalg.eigvals(arr)
-    max_real = float(eigenvalues.real.max())
-    scale = float(np.abs(eigenvalues).max())
     return StabilityReport(
         eigenvalues=eigenvalues,
-        max_real_part=max_real,
-        is_stable=max_real < -STABILITY_MARGIN * scale,
+        max_real_part=float(eigenvalues.real.max()),
+        is_stable=bool(_stable(eigenvalues)),
     )
+
+
+@dataclass(frozen=True)
+class SteadyStack:
+    """Steady states of a stack of ``n`` linear dynamics of dimension ``d``.
+
+    ``errors[k]`` is None when point ``k`` has a steady state, otherwise the
+    exception ``solve_lyapunov`` raises for it.  ``max_real_part`` is NaN
+    where the drift has non-finite entries and ``covariances`` (n, d, d)
+    where it is not stable.
+    """
+
+    max_real_part: NDArray[np.float64]
+    covariances: NDArray[np.float64]
+    errors: tuple[MagsqueezeError | None, ...]
+
+
+def steady_stack(gammas: NDArray[np.float64], diffusions: NDArray[np.float64]) -> SteadyStack:
+    """Stability verdicts and steady covariance matrices of (n, d, d) stacks.
+
+    One batched eigensolve classifies every drift with the margin of
+    ``stability``; one batched Kronecker solve covers the stable points,
+    whose relative residuals must stay below 1e-10 as in ``solve_lyapunov``.
+    An exactly singular Kronecker system raises ``NumericalError``.
+    """
+    n, d, _ = gammas.shape
+    finite = np.isfinite(gammas).all(axis=(1, 2)) & np.isfinite(diffusions).all(axis=(1, 2))
+    eigenvalues = np.full((n, d), np.nan, dtype=np.complex128)
+    eigenvalues[finite] = np.linalg.eigvals(gammas[finite])
+    max_real = eigenvalues.real.max(axis=1)
+    stable = _stable(eigenvalues)
+
+    covariances = np.full((n, d, d), np.nan)
+    residuals = np.full(n, np.nan)
+    g, lam = gammas[stable], diffusions[stable]
+    # Row-major vectorization: vec(G V + V G^T) = (G kron I + I kron G) vec(V).
+    eye = np.eye(d)
+    system = (
+        g[:, :, None, :, None] * eye[None, None, :, None, :]
+        + eye[None, :, None, :, None] * g[:, None, :, None, :]
+    ).reshape(-1, d * d, d * d)
+    try:
+        v = np.linalg.solve(system, -lam.reshape(-1, d * d, 1)).reshape(-1, d, d)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Lyapunov system solve failed: {exc}") from exc
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+    norm_l = np.maximum(np.linalg.norm(lam, axis=(1, 2)), 1e-300)
+    covariances[stable] = v
+    residuals[stable] = np.linalg.norm(g @ v + v @ g.transpose(0, 2, 1) + lam, axis=(1, 2)) / norm_l
+
+    errors: list[MagsqueezeError | None] = []
+    for ok, is_stable, top, residual in zip(finite, stable, max_real, residuals):
+        if not ok:
+            errors.append(InvalidInputError("gamma and diffusion must have finite entries"))
+        elif not is_stable:
+            errors.append(NoSteadyStateError(
+                f"drift matrix is not stable (max eigenvalue real part {top:.6e})"
+            ))
+        elif not residual <= RESIDUAL_BOUND:
+            errors.append(NumericalError(
+                f"Lyapunov residual {residual:.3e} exceeds bound {RESIDUAL_BOUND:.0e}",
+                residual=float(residual),
+            ))
+        else:
+            errors.append(None)
+    return SteadyStack(max_real, covariances, tuple(errors))
 
 
 def solve_lyapunov(
@@ -87,31 +159,10 @@ def solve_lyapunov(
         raise InvalidInputError(
             f"shape mismatch: gamma {arr_g.shape} vs diffusion {arr_l.shape}"
         )
-    report = stability(arr_g)
-    if not report.is_stable:
-        raise NoSteadyStateError(
-            f"drift matrix is not stable (max eigenvalue real part {report.max_real_part:.6e})"
-        )
-
-    n = arr_g.shape[0]
-    eye = np.eye(n)
-    # Row-major vectorization: vec(G V + V G^T) = (G kron I + I kron G) vec(V).
-    system = np.kron(arr_g, eye) + np.kron(eye, arr_g)
-    try:
-        v_flat = np.linalg.solve(system, -arr_l.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system solve failed: {exc}") from exc
-    v = v_flat.reshape(n, n)
-    v = 0.5 * (v + v.T)
-
-    norm_l = float(np.linalg.norm(arr_l))
-    residual = float(np.linalg.norm(arr_g @ v + v @ arr_g.T + arr_l)) / max(norm_l, 1e-300)
-    if not np.isfinite(residual) or residual > RESIDUAL_BOUND:
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds bound {RESIDUAL_BOUND:.0e}",
-            residual=residual,
-        )
-    return CovarianceMatrix(v)
+    stack = steady_stack(arr_g[None], arr_l[None])
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    return CovarianceMatrix(stack.covariances[0])
 
 
 def evolve_covariance(

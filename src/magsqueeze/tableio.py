@@ -63,7 +63,9 @@ def sweep_table(
 
     ``axis_columns`` optionally renames the axis columns and substitutes
     display-unit grids (one per axis, same lengths as the sweep grids);
-    without it the records' own axis values and names are used.
+    without it the records' own axis values and names are used.  The
+    metadata counts stable and unstable points, and failed points when
+    there are any.
     """
     shape = tuple(len(grid) for _, grid in result.axes)
     if axis_columns is None:
@@ -101,6 +103,9 @@ def sweep_table(
     metadata = list(extra_metadata)
     metadata.append(("stable_points", str(n_stable)))
     metadata.append(("unstable_points", str(len(result.records) - n_stable)))
+    n_failed = sum(1 for r in result.records if r.failed)
+    if n_failed:
+        metadata.append(("failed_points", str(n_failed)))
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 

@@ -58,6 +58,10 @@ class TestThermalOccupation:
     def test_underflow_returns_zero(self):
         assert thermal_occupation(TWO_PI * 10e9, 1e-6) == 0.0
 
+    def test_subnormal_temperature_returns_zero(self):
+        # k_B T underflows to zero; the ratio must not divide by it.
+        assert thermal_occupation(TWO_PI * 10e6, 2.225073858507203e-309) == 0.0
+
     def test_classical_limit(self):
         import scipy.constants as sc
 

@@ -1,0 +1,61 @@
+"""Value-level regression gate: regenerated sweeps against the bundled results/.
+
+Byte identity of the CSV files only holds on one platform, so each
+dataset is recomputed through the library and compared by value: the
+null (unstable) pattern must match exactly and every measure must agree
+within ``ATOL``.  fig2 is checked at every other point of both axes.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from magsqueeze import sweep
+from magsqueeze.config import load_config
+from magsqueeze.tableio import read_csv, sweep_table
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Regenerated values agree with results/ to about 3e-13 across platforms.
+ATOL = 1e-12
+
+CASES = {"fig2": 2, "fig3a": 1, "fig3c": 1, "fig6a": 1, "fig6c": 1}
+
+
+def as_array(rows: list[tuple], columns: list[str], names: list[str]) -> np.ndarray:
+    """The named columns of ``rows`` as floats, with empty cells as NaN."""
+    index = [columns.index(name) for name in names]
+    return np.array(
+        [[np.nan if row[k] is None else float(row[k]) for k in index] for row in rows]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_matches_bundled_results(name):
+    step = CASES[name]
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    spec = config.sweep
+    result = sweep(
+        config.params,
+        axes=[(axis.name, axis.si_values[::step]) for axis in spec.axes],
+        pairing=spec.pairing,
+        measures=spec.measures,
+    )
+    got = sweep_table(result)
+    stored = read_csv(ROOT / "results" / name / "sweep.csv")
+
+    # Row-major indices of the regenerated points in the stored full grid.
+    shape = [len(axis.si_values) for axis in spec.axes]
+    kept = np.ravel_multi_index(
+        np.meshgrid(*[np.arange(0, n, step) for n in shape], indexing="ij"), shape
+    ).reshape(-1)
+    names = [c for c in got.columns if c not in [axis.name for axis in spec.axes]]
+    want = as_array([stored.rows[k] for k in kept], stored.columns, names)
+    have = as_array(got.rows, got.columns, names)
+
+    assert len(got.rows) == len(kept)
+    np.testing.assert_array_equal(np.isnan(have), np.isnan(want))
+    np.testing.assert_allclose(have, want, rtol=0.0, atol=ATOL, equal_nan=True)
