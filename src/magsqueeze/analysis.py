@@ -36,7 +36,7 @@ from .model import (
     ValidityReport,
     build_diffusion,
     build_drift,
-    derive,
+    derive_many,
     validity_report,
 )
 from .solver import steady_stack
@@ -207,9 +207,8 @@ class Evaluation:
 def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Evaluation:
     """Steady states and, unless ``with_measures`` is False, measures of operating points.
 
-    ``derive`` runs once per point and feeds both the drift and the
-    diffusion; stability, the Lyapunov solve and the measures run batched
-    over up to ``_CHUNK`` points at a time.
+    ``derive_many``, stability, the Lyapunov solve and the measures run
+    batched over up to ``_CHUNK`` points; one derive feeds drift and diffusion.
     """
     n = len(points)
     max_real = np.full(n, np.nan)
@@ -218,11 +217,9 @@ def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Eval
     errors: list[MagsqueezeError | None] = [None] * n
     for start in range(0, n, _CHUNK):
         solved, gammas, diffusions = [], [], []
-        for k in range(start, min(start + _CHUNK, n)):
-            try:
-                derived = derive(points[k])
-            except ParametricResonanceError as exc:
-                errors[k] = exc
+        for k, derived in enumerate(derive_many(points[start:start + _CHUNK]), start):
+            if isinstance(derived, ParametricResonanceError):
+                errors[k] = derived
                 continue
             solved.append(k)
             gammas.append(build_drift(points[k], derived))

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.constants as sc
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError, ParametricResonanceError
@@ -35,10 +35,15 @@ __all__ = [
     "build_diffusion",
     "effective_coupling",
     "derive",
+    "derive_many",
     "validity_report",
 ]
 
 TWO_PI: float = 2.0 * math.pi
+
+# Exact SI values: Boltzmann constant (J/K) and reduced Planck constant (J s).
+_K_B: float = 1.380649e-23
+_HBAR: float = 6.62607015e-34 / TWO_PI
 
 # Maximum iterations for the self-consistent magnon detuning shift.
 _SHIFT_MAX_ITER: int = 200
@@ -46,6 +51,8 @@ _SHIFT_RTOL: float = 1e-9
 
 # Relative floor below which the drive denominator counts as singular.
 _DENOMINATOR_RTOL: float = 1e-6
+_RESONANCE = "steady amplitude denominator vanishes: the two-magnon drive is at parametric resonance"
+_NO_FIXED_POINT = "self-consistent magnon detuning has no fixed point below the bare detuning"
 
 
 @dataclass(frozen=True)
@@ -170,10 +177,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise InvalidInputError(f"omega must be positive, got {omega}")
     if temperature < 0.0:
         raise InvalidInputError(f"temperature must be non-negative, got {temperature}")
-    kt = sc.k * temperature
+    kt = _K_B * temperature
     if kt == 0.0:  # zero temperature, or one so small that k_B T underflows
         return 0.0
-    x = sc.hbar * omega / kt
+    x = _HBAR * omega / kt
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)
@@ -213,97 +220,193 @@ def _resolve_rabi(params: SystemParams) -> float | None:
     return None
 
 
+def _square(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``x**2`` through Python's float power, which rounds some inputs differently from x * x."""
+    return np.array([v**2 for v in x.tolist()])
+
+
 def _steady_amplitude(
-    omega_rabi: float,
-    delta_a: float,
-    delta_m_bar: float,
-    kappa_a: float,
-    kappa_m: float,
-    g_a: float,
-    upsilon: float,
-    theta: float,
-) -> complex:
-    kappa_minus = (kappa_a - 1j * delta_a) * (kappa_m - 1j * delta_m_bar) + g_a**2
-    kappa_plus = (kappa_a + 1j * delta_a) * (kappa_m + 1j * delta_m_bar) + g_a**2
-    weight = delta_a**2 + kappa_a**2
-    denominator = kappa_minus * kappa_plus - upsilon**2 * weight
-    scale = abs(kappa_minus * kappa_plus) + upsilon**2 * weight
-    if abs(denominator) <= _DENOMINATOR_RTOL * scale:
-        raise ParametricResonanceError(
-            "steady amplitude denominator vanishes: the two-magnon drive is at parametric resonance"
-        )
-    numerator = kappa_minus * (1j * delta_a + kappa_a) + upsilon * weight * np.exp(1j * theta)
-    return complex(numerator / denominator * omega_rabi)
+    c: dict[str, NDArray], idx: NDArray[np.intp], delta_m_bar: NDArray[np.float64]
+) -> tuple[NDArray[np.complex128], NDArray[np.bool_]]:
+    """Steady magnon amplitudes of the points ``idx`` of the columns ``c`` (see
+    ``derive_many``), and where each denominator is within the pole tolerance.
+
+    Works in real arithmetic in the operation order of Python's complex type:
+    numpy's complex multiply and absolute value round differently, and the
+    fixed-point iteration of the shift can amplify one rounding difference
+    into a different branch of the response.
+    """
+    kappa_a, delta_a, kappa_m = c["kappa_a"][idx], c["delta_a"][idx], c["kappa_m"][idx]
+    # kappa_minus = r - i s and kappa_plus = r + i s, so their product is real.
+    r = kappa_a * kappa_m - delta_a * delta_m_bar + c["g_a2"][idx]
+    s = kappa_a * delta_m_bar + delta_a * kappa_m
+    product = r * r + s * s
+    denominator = product - c["drive_weight"][idx]
+    pole = np.abs(denominator) <= _DENOMINATOR_RTOL * (product + c["drive_weight"][idx])
+    numerator = (r * kappa_a + s * delta_a) + 1j * (r * delta_a - s * kappa_a)
+    numerator = numerator + c["squeeze_drive"][idx]
+    return numerator / (denominator + 0j) * c["rabi"][idx], pole
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # the step not taken may divide by zero
+def _brentq(
+    f: Callable[[NDArray], NDArray], xpre: NDArray, xcur: NDArray, fpre: NDArray,
+    fcur: NDArray, xtol: NDArray, rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100,
+) -> NDArray[np.float64]:
+    """Brent's method on independent brackets, step for step as the C routine
+    ``brentq.c`` (Brent 1973, ch. 4) with its relative tolerance floor 4 eps.
+
+    ``f(x)`` evaluates the function of each bracket at its entry of ``x``;
+    ``fpre`` and ``fcur`` are their nonzero values of opposite sign at the
+    ends.  Brackets not converged after ``maxiter`` steps get NaN; converged
+    ones keep stepping with the rest, but their first root is the one kept.
+    """
+    root = np.full(xcur.size, np.nan)
+    xblk = fblk = spre = scur = np.zeros(xcur.size)
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur)
+        fpre, fcur = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur)
+        xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = np.isnan(root) & ((fcur == 0) | (np.abs(sbis) < delta))
+        root[done] = xcur[done]
+        if not np.isnan(root).any():
+            break
+        dpre = (fpre - fcur) / (xpre - xcur)
+        dblk = (fblk - fcur) / (xblk - xcur)
+        interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+        extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        short &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur)
+    return root
 
 
 def _self_consistent_shift(
-    params: SystemParams, omega_rabi: float, delta_a: float, delta_m_bare: float
-) -> tuple[float, complex]:
+    c: dict[str, NDArray], idx: NDArray, delta_bar: NDArray, m_s: NDArray, errors: dict[int, str]
+) -> None:
+    """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
+
+    Writes the solutions into ``delta_bar`` (bare detunings on entry) and
+    ``m_s``, and the points without one into ``errors``.
+    """
+
+    def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        m, pole = _steady_amplitude(c, sel, x)
+        backaction = c["g_m2"][sel] * _square(np.hypot(m.real, m.imag)) / c["omega_b"][sel]
+        return c["delta_m"][sel] - backaction, m, pole
+
+    def residual(x: NDArray, sel: NDArray) -> NDArray:
+        # The denominator is real, so |m_s|^2 -> +inf on both sides of the
+        # pole: a trial there counts as a positive residual.
+        updated, _, pole = shifted(x, sel)
+        return np.where(pole, np.inf, x - updated)
+
     # Delta_m_bar = Delta_m + g_m * q_s depends on m_s, which depends back
-    # on Delta_m_bar; iterate to a fixed point.
-    assert params.g_m is not None
-    g_m = params.g_m
-
-    def shifted(delta_bar: float) -> tuple[float, complex]:
-        m = _steady_amplitude(
-            omega_rabi, delta_a, delta_bar,
-            params.kappa_a, params.kappa_m, params.g_a, params.upsilon, params.theta,
-        )
-        return delta_m_bare - g_m**2 * abs(m) ** 2 / params.omega_b, m
-
-    delta_bar = delta_m_bare
+    # on Delta_m_bar; iterate to a fixed point. The pole at the bare
+    # detuning is a resonance; a later iterate on the pole is only a trial,
+    # and that point goes on to the bracket search below.
+    on_pole = []
     for _ in range(_SHIFT_MAX_ITER):
-        updated, m_s = shifted(delta_bar)
-        if abs(updated - delta_bar) <= _SHIFT_RTOL * max(1.0, abs(updated)):
-            return updated, m_s
-        delta_bar = updated
+        updated, m_s[idx], pole = shifted(delta_bar[idx], idx)
+        on_pole.append(idx[pole])
+        done = np.abs(updated - delta_bar[idx]) <= _SHIFT_RTOL * np.maximum(1.0, np.abs(updated))
+        delta_bar[idx] = updated
+        idx = idx[~(pole | done)]
+        if idx.size == 0:
+            break
+    errors.update(dict.fromkeys(on_pole[0].tolist(), _RESONANCE))
+    idx = np.concatenate([idx, *on_pole[1:]])
 
     # Plain iteration cycles once the backaction shift exceeds the magnon
     # linewidth. The residual is positive at the bare detuning and negative
-    # far below it, so bracket downward and bisect; of possibly several
-    # coexisting branches this selects the one nearest the bare detuning.
-    from scipy.optimize import brentq
-
-    def residual(delta_bar: float) -> float:
-        return delta_bar - shifted(delta_bar)[0]
-
-    hi = delta_m_bare
-    step = max(abs(residual(hi)), params.kappa_m)
+    # far below it, so bracket downward and return Brent's root in that
+    # bracket, one of possibly several coexisting branches.
+    hi = c["delta_m"][idx]
+    f_hi = residual(hi, idx)
+    step = np.maximum(np.abs(f_hi), c["kappa_m"][idx])
     lo = hi - step
-    for _ in range(_SHIFT_MAX_ITER):
-        if residual(lo) < 0.0:
+    f_lo = residual(lo, idx)
+    for _ in range(_SHIFT_MAX_ITER - 1):
+        if np.all(f_lo < 0.0):
             break
-        step *= 2.0
+        step = np.where(f_lo < 0.0, step, 2.0 * step)
         lo = hi - step
-    else:
-        raise ParametricResonanceError(
-            "self-consistent magnon detuning has no fixed point below the bare detuning"
-        )
-    root = float(brentq(residual, lo, hi, xtol=1e-12 * max(1.0, abs(delta_m_bare))))
-    updated, m_s = shifted(root)
-    return updated, m_s
+        f_lo = residual(lo, idx)
+    found = f_lo < 0.0
+    errors.update(dict.fromkeys(idx[~found].tolist(), _NO_FIXED_POINT))
+    idx, lo, hi, f_lo, f_hi = idx[found], lo[found], hi[found], f_lo[found], f_hi[found]
+    xtol = 1e-12 * np.maximum(1.0, np.abs(hi))
+    root = _brentq(lambda x: residual(x, idx), lo, hi, f_lo, f_hi, xtol)
+    errors.update(dict.fromkeys(idx[np.isnan(root)].tolist(), _NO_FIXED_POINT))
+    idx, root = idx[~np.isnan(root)], root[~np.isnan(root)]
+    delta_bar[idx], m_s[idx], pole = shifted(root, idx)
+    errors.update(dict.fromkeys(idx[pole].tolist(), _RESONANCE))
+
+
+def derive_many(
+    points: Sequence[SystemParams],
+) -> list[DerivedQuantities | ParametricResonanceError]:
+    """``derive`` for many operating points, with one batched self-consistent shift.
+
+    A point at parametric resonance, or whose shift has no fixed point,
+    gets the ``ParametricResonanceError`` that ``derive`` raises for it.
+    """
+    rabis = [_resolve_rabi(p) for p in points]
+    c = {name: np.array([getattr(p, name) or 0.0 for p in points], dtype=float)
+         for name in ("kappa_a", "kappa_m", "g_a", "upsilon", "theta", "omega_b", "g_m")}
+    bare = np.array([_bare_detunings(p) for p in points], dtype=float)
+    c["delta_a"], c["delta_m"] = bare.reshape(-1, 2).T
+    c["rabi"] = np.array([r or 0.0 for r in rabis])
+    # The parts of the amplitude and of the shift that do not depend on Delta_m_bar.
+    upsilon, weight = c["upsilon"], _square(c["delta_a"]) + _square(c["kappa_a"])
+    c.update(
+        g_a2=_square(c["g_a"]), g_m2=_square(c["g_m"]), drive_weight=_square(upsilon) * weight,
+        squeeze_drive=upsilon * weight * np.exp(1j * c["theta"]),
+    )
+    driven = np.array([r is not None for r in rabis], dtype=bool)
+    bare_coupling = [p.omega_0 is not None and p.g_m is not None for p in points]
+    shift = driven & np.array(bare_coupling, dtype=bool)
+    delta_bar = c["delta_m"].copy()
+    m_s = np.zeros(len(points), dtype=complex)
+    errors: dict[int, str] = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Direct detunings are taken as the effective values; no extra shift.
+        direct = np.flatnonzero(driven & ~shift)
+        m_s[direct], pole = _steady_amplitude(c, direct, delta_bar[direct])
+        errors.update(dict.fromkeys(direct[pole].tolist(), _RESONANCE))
+        _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, errors)
+    return [
+        ParametricResonanceError(errors[k]) if k in errors
+        else _derived(p, float(delta_bar[k]), complex(m_s[k]) if driven[k] else None, rabis[k])
+        for k, p in enumerate(points)
+    ]
 
 
 def derive(params: SystemParams) -> DerivedQuantities:
     """Resolve detunings, steady amplitudes, couplings and occupations."""
-    delta_a, delta_m = _bare_detunings(params)
-    omega_rabi = _resolve_rabi(params)
+    derived = derive_many([params])[0]
+    if isinstance(derived, ParametricResonanceError):
+        raise derived
+    return derived
 
+
+def _derived(
+    params: SystemParams, delta_m_bar: float, m_s: complex | None, omega_rabi: float | None
+) -> DerivedQuantities:
+    delta_a, delta_m = _bare_detunings(params)
     n_0: float | None = None
     if params.sphere_diameter is not None:
         n_0 = total_spins(params.sphere_diameter, params.spin_density)
-
-    m_s: complex | None = None
-    if params.omega_0 is not None and params.g_m is not None and omega_rabi is not None:
-        delta_m_bar, m_s = _self_consistent_shift(params, omega_rabi, delta_a, delta_m)
-    else:
-        # Direct detunings are taken as the effective values; no extra shift.
-        delta_m_bar = delta_m
-        if omega_rabi is not None:
-            m_s = _steady_amplitude(
-                omega_rabi, delta_a, delta_m_bar,
-                params.kappa_a, params.kappa_m, params.g_a, params.upsilon, params.theta,
-            )
 
     q_s: float | None = None
     if m_s is not None and params.g_m is not None:
@@ -476,7 +579,7 @@ def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityRe
 
     from .solver import stability  # local import keeps module layering acyclic
 
-    report = stability(build_drift(params))
+    report = stability(build_drift(params, derived))
     return ValidityReport(
         magnon_amplitude=amplitude,
         magnon_occupation=occupation,
