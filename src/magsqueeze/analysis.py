@@ -32,6 +32,7 @@ from .errors import (
 from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
 from .model import (
     TWO_PI,
+    DerivedQuantities,
     SystemParams,
     ValidityReport,
     build_diffusion,
@@ -195,29 +196,33 @@ class Evaluation:
     could not be formed.  ``errors[k]`` is None for a stable point,
     ``NoSteadyStateError`` for an unstable one and otherwise the exception
     the scalar path raises for it.  ``measures`` holds E_am, E_ab, E_mb and
-    R_min per row, NaN unless the point is stable.
+    R_min per row, NaN unless the point is stable.  ``derived`` is
+    ``derive_many(points)``.
     """
 
     max_real_part: np.ndarray
     covariances: np.ndarray
     measures: np.ndarray
     errors: list[MagsqueezeError | None]
+    derived: list[DerivedQuantities | ParametricResonanceError]
 
 
 def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Evaluation:
     """Steady states and, unless ``with_measures`` is False, measures of operating points.
 
-    ``derive_many``, stability, the Lyapunov solve and the measures run
-    batched over up to ``_CHUNK`` points; one derive feeds drift and diffusion.
+    One ``derive_many`` call covers all points and feeds drift and
+    diffusion; stability, the Lyapunov solve and the measures run batched
+    over up to ``_CHUNK`` points.
     """
     n = len(points)
     max_real = np.full(n, np.nan)
     covariances = np.full((n, 6, 6), np.nan)
     measures = np.full((n, 4), np.nan)
     errors: list[MagsqueezeError | None] = [None] * n
+    all_derived = derive_many(points)
     for start in range(0, n, _CHUNK):
         solved, gammas, diffusions = [], [], []
-        for k, derived in enumerate(derive_many(points[start:start + _CHUNK]), start):
+        for k, derived in enumerate(all_derived[start:start + _CHUNK], start):
             if isinstance(derived, ParametricResonanceError):
                 errors[k] = derived
                 continue
@@ -236,7 +241,7 @@ def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Eval
             measures[steady], measure_errors = three_mode_measures(covariances[steady])
             for k, error in zip(steady, measure_errors):
                 errors[k] = error
-    return Evaluation(max_real, covariances, measures, errors)
+    return Evaluation(max_real, covariances, measures, errors, all_derived)
 
 
 def _failed(error: MagsqueezeError | None) -> bool:
@@ -349,7 +354,8 @@ def _validate_axes(
         if not np.all(np.isfinite(grid)):
             raise ConfigError(f"axis {name!r} contains non-finite values")
         try:
-            replace(params_base, **{name: float(grid[0])})
+            for value in grid:
+                replace(params_base, **{name: float(value)})
         except InvalidInputError as exc:
             raise ConfigError(f"axis {name!r} is incompatible with the base parameters: {exc}") from exc
         cleaned.append((name, grid))
@@ -418,11 +424,13 @@ def sweep(
             "r_min": point.r_min if "R_min" in selected else None,
         }
 
-    def validity(params: SystemParams) -> ValidityReport | None:
+    def validity(params: SystemParams, first: int) -> ValidityReport | None:
         if kerr_coefficient is None:
             return None
+        # With a pairing the grid point's own phase was not evaluated.
+        derived = evaluation.derived[first] if pairing is None else None
         try:
-            return validity_report(params, kerr_coefficient)
+            return validity_report(params, kerr_coefficient, derived)
         except (InvalidInputError, ParametricResonanceError):
             return None
 
@@ -448,7 +456,7 @@ def sweep(
             records.append(_null_record(axis_values, None))
             continue
         records.append(SweepRecord(
-            axis_values=axis_values, stable=forward.stable, validity=validity(params),
+            axis_values=axis_values, stable=forward.stable, validity=validity(params, first),
             **mask(forward), **contrasts,
         ))
     return SweepResult(axes=grid_axes, records=tuple(records), pairing=pairing, base=params_base)

@@ -154,8 +154,8 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
     """Symplectic spectrum of a positive definite covariance matrix.
 
     Returns the ``n`` symplectic eigenvalues sorted ascending.  They are
-    the moduli of the eigenvalues of ``i Omega V``, which occur in +/-
-    pairs; each pair is reported once.
+    the moduli of the eigenvalues of the real matrix ``Omega V``, which
+    occur in pairs ``+/- i nu``; each pair is reported once.
 
     Raises
     ------
@@ -170,7 +170,7 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
 def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     """Ascending symplectic spectra of a (..., 2n, 2n) stack, positive definiteness assumed."""
     n = arr.shape[-1] // 2
-    moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ arr)), axis=-1)
+    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ arr)), axis=-1)
     # Adjacent entries belong to one +/- pair; average out rounding noise.
     return moduli.reshape(*arr.shape[:-2], n, 2).mean(axis=-1)
 
@@ -326,13 +326,12 @@ def _uncertainty_floor(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(arr.astype(np.complex128) + 0.5j * omega)[..., 0]
 
 
-# The six partitions behind the three-mode measures, as (kept modes,
-# transposed mode): the 1|1 pairs (0|1, 0|2, 1|2), then each mode against
-# the other two.
-_THREE_MODE_PARTITIONS: tuple[tuple[tuple[int, ...], int], ...] = (
-    ((0, 1), 0), ((0, 2), 0), ((1, 2), 1),
-    ((0, 1, 2), 0), ((0, 1, 2), 1), ((0, 1, 2), 2),
-)
+# The partial transposes behind the three-mode measures: the 1|1 pairs 0|1,
+# 0|2 and 1|2 (kept quadratures; the first mode is transposed), then each
+# mode f against the other two.  Transposing mode f negates p_f (index 2f + 1).
+_PAIR_QUADRATURES = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
+_PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+_FOCUS_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
 
 
 def three_mode_measures(
@@ -342,39 +341,38 @@ def three_mode_measures(
 
     Batched equivalent of ``log_negativity`` on the three mode pairs plus
     ``min_residual_contangle``, from six negativities per state instead of
-    twelve and one physicality check.  Returns an (n, 4) array and, per
-    state, None or the exception the scalar functions raise for it; the
-    row of a failing state is NaN.
+    twelve and one physicality check.  The three 1|1 and the three 1|2
+    partial transposes are solved as (n, 3, 4, 4) and (n, 3, 6, 6) stacks.
+    Returns an (n, 4) array and, per state, None or the exception the
+    scalar functions raise for it; the row of a failing state is NaN.
     """
-    n, count = stack.shape[0], len(_THREE_MODE_PARTITIONS)
-    definite = np.empty((n, count), dtype=bool)
-    nu = np.empty((n, count))
-    for column, (modes, flipped) in enumerate(_THREE_MODE_PARTITIONS):
-        idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
-        signs = np.ones(len(idx))
-        signs[2 * modes.index(flipped) + 1] = -1.0
-        transposed = stack[:, idx][:, :, idx] * np.outer(signs, signs)
-        definite[:, column] = np.linalg.eigvalsh(transposed)[:, 0] > 0.0
-        nu[:, column] = _symplectic_spectra(transposed)[:, 0]
-    errors: list[MagsqueezeError | None] = []
-    for floor, pd, spectrum in zip(_uncertainty_floor(stack), definite, nu):
-        if not floor >= -PHYSICALITY_TOL:
-            errors.append(_unphysical(float(floor)))
-        elif not pd.all():
-            errors.append(
-                InvalidInputError("symplectic spectrum requires a positive definite matrix")
-            )
-        elif not (spectrum > 0.0).all():
-            errors.append(InvalidStateError("partial transpose produced a non-positive spectrum"))
-        else:
-            errors.append(None)
+    n = stack.shape[0]
+    pairs = stack[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
+    transposes = (pairs, stack[:, None] * _FOCUS_SIGNS)
+    definite = np.concatenate([np.linalg.eigvalsh(t)[..., 0] > 0.0 for t in transposes], axis=1)
+    nu = np.concatenate([_symplectic_spectra(t)[..., 0] for t in transposes], axis=1)
+    floor = _uncertainty_floor(stack)
+    # Per state, the first failed check in the order the scalar functions test them.
+    verdicts = np.column_stack(
+        [~(floor >= -PHYSICALITY_TOL), ~definite.all(axis=1), ~(nu > 0.0).all(axis=1)]
+    )
+    failing = verdicts.any(axis=1)
+    errors: list[MagsqueezeError | None] = [None] * n
+    for k in np.flatnonzero(failing):
+        first = verdicts[k].argmax()
+        errors[k] = (
+            _unphysical(float(floor[k])) if first == 0
+            else InvalidInputError("symplectic spectrum requires a positive definite matrix")
+            if first == 1
+            else InvalidStateError("partial transpose produced a non-positive spectrum")
+        )
     with np.errstate(invalid="ignore", divide="ignore"):
         negativities = np.maximum(0.0, -np.log(2.0 * nu))
-    tangles = negativities**2
-    residuals = [
-        tangles[:, 3 + focus] - (tangles[:, j] + tangles[:, k])
-        for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))
-    ]
+        tangles = negativities**2
+        residuals = [
+            tangles[:, 3 + focus] - (tangles[:, j] + tangles[:, k])
+            for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))
+        ]
     out = np.column_stack([negativities[:, :3], np.maximum(0.0, np.minimum.reduce(residuals))])
-    out[[e is not None for e in errors]] = np.nan
+    out[failing] = np.nan
     return out, tuple(errors)

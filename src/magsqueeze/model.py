@@ -551,16 +551,19 @@ def build_diffusion(
     return np.diag([cavity, cavity, magnon, magnon, 0.0, phonon])
 
 
-def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityReport:
+def validity_report(
+    params: SystemParams, kerr_coefficient: float, derived: DerivedQuantities | None = None
+) -> ValidityReport:
     """Check the linearization against excitation-number and Kerr bounds.
 
     Requires the steady amplitude (a drive specification) and the sphere
     diameter for the spin-count bound.  ``stable`` reflects the drift
-    matrix spectrum at this operating point.
+    matrix spectrum at this operating point.  ``derived`` is
+    ``derive(params)`` when the caller already has it.
     """
     if kerr_coefficient < 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
-    derived = derive(params)
+    derived = derive(params) if derived is None else derived
     if derived.m_s is None or derived.omega_rabi is None:
         raise InvalidInputError(
             "validity checks need the steady amplitude: set rabi, or h_d with sphere_diameter"

@@ -24,7 +24,9 @@ from magsqueeze import (
     sweep,
     temperature_thresholds,
 )
+from magsqueeze import analysis, model
 from magsqueeze.gaussian import CovarianceMatrix
+from magsqueeze.model import derive_many
 
 from conftest import KAPPA_A, TWO_PI, make_params
 
@@ -248,6 +250,21 @@ class TestSweep:
         assert result.records[0].validity is not None
         assert result.records[0].validity.stable
 
+    def test_validity_reuses_the_sweep_derive(self, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return derive_many(points)
+
+        monkeypatch.setattr(analysis, "derive_many", counted)
+        monkeypatch.setattr(model, "derive_many", counted)
+        driven = make_params(rabi=1.48e15, g_m=TWO_PI * 0.2, sphere_diameter=250e-6)
+        upsilons = list(np.linspace(0.1, 1.0, 10) * KAPPA_A)
+        result = sweep(driven, [("upsilon", upsilons)], kerr_coefficient=TWO_PI * 6.4e-9)
+        assert all(r.validity is not None for r in result.records)
+        assert calls == [10]
+
     def test_validity_skipped_without_drive(self):
         result = sweep(make_params(), [("upsilon", [KAPPA_A])], kerr_coefficient=TWO_PI * 6.4e-9)
         assert result.records[0].validity is None
@@ -268,6 +285,9 @@ class TestSweep:
             sweep(p, [("upsilon", [np.nan])])
         with pytest.raises(ConfigError):
             sweep(p, [("upsilon", [-1.0])])
+        # Every value is validated, not only the first one.
+        with pytest.raises(ConfigError, match="upsilon"):
+            sweep(p, [("upsilon", [1.0, -1.0])])
 
     def test_rejects_theta_axis_with_pairing(self):
         with pytest.raises(ConfigError):

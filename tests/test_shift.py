@@ -9,6 +9,7 @@ pole counts as a positive residual, and the returned root must be off it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -106,10 +107,9 @@ def oracle(p: SystemParams, trials_may_hit_pole: bool = True) -> tuple[float, st
 
 
 def assert_matches_oracle(points: list[SystemParams]) -> list[str]:
-    """Check ``derive_many`` point by point in chunks as ``evaluate`` makes them;
+    """Check ``derive_many`` point by point in one call, as ``evaluate`` makes it;
     returns the oracle's path for each point."""
-    derived = [d for start in range(0, len(points), _CHUNK)
-               for d in derive_many(points[start:start + _CHUNK])]
+    derived = derive_many(points)
     paths = []
     for p, got in zip(points, derived):
         try:
@@ -124,12 +124,16 @@ def assert_matches_oracle(points: list[SystemParams]) -> list[str]:
     return paths
 
 
-def test_contrast_driven_axes_match_the_oracle():
-    points = [
+def contrast_driven_points() -> list[SystemParams]:
+    """The 882 phase points of the contrast_driven workload at seed 0, in sweep order."""
+    return [
         replace(DRIVEN, g_a=float(g_a), upsilon=float(upsilon), theta=theta)
         for g_a in G_A_AXIS for upsilon in UPSILON_AXIS for theta in PHASES
     ]
-    paths = assert_matches_oracle(points)
+
+
+def test_contrast_driven_axes_match_the_oracle():
+    paths = assert_matches_oracle(contrast_driven_points())
     # Both paths are exercised: 136 of the 882 points need the bracket search.
     assert paths.count("brentq") == 136
     assert paths.count("fixed_point") == 746
@@ -153,6 +157,22 @@ driven_point = st.builds(
 @given(st.lists(driven_point, min_size=1, max_size=80))
 def test_drawn_driven_points_match_the_oracle(points):
     assert_matches_oracle(points)
+
+
+def test_one_batch_equals_the_chunked_batches():
+    # Every step of the shift is elementwise, so how points are grouped
+    # into calls changes no bit of any derived field.
+    points = contrast_driven_points()
+    whole = derive_many(points)
+    chunked = [d for start in range(0, len(points), _CHUNK)
+               for d in derive_many(points[start:start + _CHUNK])]
+    assert len(whole) == len(chunked) == len(points)
+    for got, want in zip(whole, chunked):
+        assert type(got) is type(want)
+        if isinstance(want, ParametricResonanceError):
+            assert str(got) == str(want)
+        else:
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 def test_single_point_derive_is_the_batch_of_one():

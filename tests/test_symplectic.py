@@ -1,0 +1,184 @@
+"""The real symplectic eigensolve and the stacked three-mode measures.
+
+Symplectic spectra of partial transposes are checked against 40-digit
+eigenvalues of ``Omega W``, and the per-state failure verdicts of
+``three_mode_measures`` against the exceptions of the scalar functions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magsqueeze import (
+    CovarianceMatrix,
+    InvalidInputError,
+    InvalidStateError,
+    MagsqueezeError,
+    Partition,
+    evaluate,
+    log_negativity,
+    min_residual_contangle,
+    partial_transpose,
+    steady_state,
+    symplectic_eigenvalues,
+    symplectic_form,
+)
+from magsqueeze import gaussian
+from magsqueeze.config import load_config
+from magsqueeze.gaussian import _symplectic_spectra, three_mode_measures
+
+from conftest import KAPPA_A, make_params
+
+mpmath = pytest.importorskip("mpmath")
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# Relative agreement of each symplectic eigenvalue with the 40-digit value.
+RTOL = 1e-13
+
+# The 1|1 pairs, then each mode against the other two, as three_mode_measures orders them.
+PARTITIONS = [Partition({0}, {1}), Partition({0}, {2}), Partition({1}, {2})] + [
+    Partition({f}, {0, 1, 2} - {f}) for f in range(3)
+]
+
+
+def transposes(v: CovarianceMatrix) -> list[np.ndarray]:
+    """The six partial transposes behind the three-mode measures of ``v``."""
+    out = []
+    for partition in PARTITIONS:
+        modes = partition.modes
+        sub = v.restricted(modes)
+        out.append(partial_transpose(sub, [modes.index(m) for m in partition.party_a]).data)
+    return out
+
+
+def exact_spectrum(w: np.ndarray) -> list[float]:
+    """Ascending symplectic spectrum of ``w`` from 40-digit eigenvalues of Omega W."""
+    n = w.shape[0] // 2
+    # Omega W only permutes and negates entries of W, so it is exact in floats.
+    with mpmath.workdps(40):
+        eigenvalues = mpmath.eig(
+            mpmath.matrix((symplectic_form(n) @ w).tolist()), left=False, right=False
+        )
+        moduli = sorted(abs(e) for e in eigenvalues)
+        return [float((moduli[2 * k] + moduli[2 * k + 1]) / 2) for k in range(n)]
+
+
+def assert_spectra_match_exact(states: list[CovarianceMatrix]) -> None:
+    per_state = [transposes(v) for v in states]
+    # The (n, 3, 4, 4) and (n, 3, 6, 6) stacks three_mode_measures solves.
+    batched = [
+        _symplectic_spectra(np.array([t[:3] for t in per_state])),
+        _symplectic_spectra(np.array([t[3:] for t in per_state])),
+    ]
+    negativities = np.empty((len(states), 3))
+    for k, ts in enumerate(per_state):
+        for column, w in enumerate(ts):
+            want = exact_spectrum(w)
+            scalar = symplectic_eigenvalues(CovarianceMatrix(w))
+            np.testing.assert_allclose(scalar, want, rtol=RTOL, atol=0.0)
+            np.testing.assert_allclose(batched[column // 3][k, column % 3], want, rtol=RTOL, atol=0.0)
+            if column < 3:
+                negativities[k, column] = max(0.0, -np.log(2.0 * want[0]))
+    measures, errors = three_mode_measures(np.array([v.data for v in states]))
+    assert errors == (None,) * len(states)
+    # A relative error of RTOL in nu is an absolute error of RTOL in -ln(2 nu).
+    np.testing.assert_allclose(measures[:, :3], negativities, rtol=0.0, atol=RTOL)
+
+
+def config_states(name: str, picks: dict[str, list[int]]) -> list[CovarianceMatrix]:
+    """Steady states at the picked axis indices of a bundled config (both phases of a pairing)."""
+    config = load_config(CONFIGS / name)
+    assert config.sweep is not None
+    axes = [(axis.name, axis.si_values[picks[axis.name]]) for axis in config.sweep.axes]
+    points = [config.params]
+    for axis_name, values in axes:
+        points = [replace(p, **{axis_name: float(x)}) for p in points for x in values]
+    pairing = config.sweep.pairing
+    if pairing is not None:
+        points = [replace(p, theta=theta) for p in points
+                  for theta in (pairing.theta_forward, pairing.theta_backward)]
+    evaluation = evaluate(points, with_measures=False)
+    return [CovarianceMatrix(c) for c, e in zip(evaluation.covariances, evaluation.errors)
+            if e is None]
+
+
+def test_fig2_states_match_exact_spectra():
+    states = config_states("fig2.yaml", {"upsilon": [0, 10, 20, 30], "theta": [0, 15, 30, 45]})
+    assert len(states) >= 8
+    assert_spectra_match_exact(states)
+
+
+def test_fig6a_states_match_exact_spectra():
+    states = config_states("fig6a.yaml", {"temperature": [0, 99, 199, 299]})
+    assert len(states) == 8
+    assert_spectra_match_exact(states)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, 1.3), st.floats(0.0, 6.28), st.floats(0.2, 2.0), st.floats(0.0, 0.3)
+)
+def test_drawn_physical_states_match_exact_spectra(upsilon, theta, g_a, temperature):
+    params = make_params(
+        upsilon=upsilon * KAPPA_A, theta=theta, g_a=g_a * KAPPA_A, temperature=temperature
+    )
+    evaluation = evaluate([params], with_measures=False)
+    if evaluation.errors[0] is None:
+        assert_spectra_match_exact([steady_state(params)])
+
+
+def scalar_error(v: np.ndarray) -> MagsqueezeError | None:
+    """First exception of the scalar measures, taken in the order E_am, E_ab, E_mb, R_min."""
+    state = CovarianceMatrix(v)
+    try:
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            log_negativity(state, Partition({i}, {j}))
+        min_residual_contangle(state)
+    except MagsqueezeError as exc:
+        return exc
+    return None
+
+
+def assert_verdicts_match_scalar(stack: np.ndarray) -> tuple[MagsqueezeError | None, ...]:
+    measures, errors = three_mode_measures(stack)
+    for v, row, error in zip(stack, measures, errors):
+        want = scalar_error(v)
+        assert type(error) is type(want)
+        assert str(error) == str(want)
+        assert np.isnan(row).all() == (want is not None)
+    return errors
+
+
+def indefinite_state() -> np.ndarray:
+    """Physical within the 1e-9 slack, but the cavity block has a zero eigenvalue."""
+    v = 0.5 * np.eye(6)
+    v[0, 0], v[1, 1] = 0.0, 3e8
+    return v
+
+
+def test_crafted_verdicts_match_the_scalar_path():
+    good = steady_state(make_params()).data
+    stack = np.array([good, 0.4 * np.eye(6), indefinite_state(), 0.5 * np.eye(6), good])
+    errors = assert_verdicts_match_scalar(stack)
+    assert errors[0] is None and errors[3] is None and errors[4] is None
+    assert isinstance(errors[1], InvalidStateError) and "uncertainty bound" in str(errors[1])
+    assert isinstance(errors[2], InvalidInputError) and "positive definite" in str(errors[2])
+
+
+def test_non_positive_spectrum_verdict_matches_the_scalar_path(monkeypatch):
+    # No physical, positive definite state has a zero symplectic eigenvalue
+    # in exact arithmetic, so the shared helper is made to return one.
+    real = gaussian._symplectic_spectra
+    monkeypatch.setattr(gaussian, "_symplectic_spectra", lambda arr: 0.0 * real(arr))
+    stack = np.array([0.5 * np.eye(6), 0.4 * np.eye(6), indefinite_state()])
+    errors = assert_verdicts_match_scalar(stack)
+    assert isinstance(errors[0], InvalidStateError) and "non-positive" in str(errors[0])
+    assert "uncertainty bound" in str(errors[1])
+    assert isinstance(errors[2], InvalidInputError)
