@@ -41,7 +41,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="upper edge of the g_a/2pi grid (Hz)")
     parser.add_argument("--upsilon-max-hz", type=float, default=6.0e6,
                         help="upper edge of the upsilon/2pi grid (Hz)")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--output", default=str(ROOT / "results"))
     args = parser.parse_args(argv)
 
@@ -55,7 +54,6 @@ def main(argv: list[str] | None = None) -> int:
         config.params,
         [("g_a", TWO_PI * g_a_hz), ("upsilon", TWO_PI * ups_hz)],
         pairing=pairing,
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - start
 

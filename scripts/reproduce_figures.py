@@ -5,7 +5,7 @@ directory per config, and prints a timing line per job.  Exit status is
 the first nonzero CLI status encountered (remaining jobs still run).
 
 Usage:
-    python scripts/reproduce_figures.py [--output results] [--threads N] [--only fig6]
+    python scripts/reproduce_figures.py [--output results] [--only fig6]
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ JOBS: tuple[tuple[str, str], ...] = (
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default=str(ROOT / "results"))
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--only", default="", help="run only configs whose name contains this")
     args = parser.parse_args(argv)
@@ -47,8 +46,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.output) / name
         argv_job = [command, "--config", str(config), "--output", str(out_dir),
                     "--format", args.format]
-        if command == "sweep":
-            argv_job += ["--threads", str(args.threads)]
         start = time.perf_counter()
         code = cli.main(argv_job)
         print(f"[{name}] exit {code} in {time.perf_counter() - start:.1f} s -> {out_dir}")

@@ -16,6 +16,7 @@ aborting the run.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -27,23 +28,24 @@ from .errors import (
     MagsqueezeError,
     NoMeasuresError,
     NoSteadyStateError,
-    ParametricResonanceError,
 )
 from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
 from .model import (
     TWO_PI,
-    DerivedQuantities,
+    DerivedColumns,
+    ParamColumns,
     SystemParams,
     ValidityReport,
-    build_diffusion,
-    build_drift,
+    _validity,
     derive_many,
-    validity_report,
+    diffusion_stack,
+    drift_stack,
 )
 from .solver import steady_stack
 
 __all__ = [
-    "MODE_INDEX",
+    "MEASURES",
+    "CONTRASTS",
     "ModePair",
     "PhasePairing",
     "DirectionalPoint",
@@ -61,7 +63,10 @@ __all__ = [
     "temperature_thresholds",
 ]
 
-MODE_INDEX: dict[str, int] = {"cavity": 0, "magnon": 1, "phonon": 2}
+# Steady-state measures of a point, and the contrast of each between the
+# two phases of a pairing, in column order.
+MEASURES: tuple[str, ...] = ("E_am", "E_ab", "E_mb", "R_min")
+CONTRASTS: tuple[str, ...] = ("C_E_am", "C_E_ab", "C_E_mb", "C_R")
 
 SWEEP_AXES: frozenset[str] = frozenset(
     {"upsilon", "theta", "g_a", "temperature", "G_m", "delta_a", "delta_m"}
@@ -172,19 +177,57 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid axes plus per-point records in row-major order over the axes."""
+    """Grid axes plus one array entry per grid point, row-major over the axes.
+
+    ``stable`` is the verdict of the point's own (with a pairing, the forward)
+    phase, False on ``failed`` points (see ``sweep``).  ``measures`` holds
+    ``MEASURES`` and ``contrasts`` ``CONTRASTS`` per point, NaN where a value
+    is missing or not selected.  ``backward_stable`` and ``contrasts`` are None
+    without a pairing; ``validity`` holds a report per point (None on null
+    points) when the sweep made them.
+    """
 
     axes: tuple[tuple[str, np.ndarray], ...]
-    records: tuple[SweepRecord, ...]
     pairing: PhasePairing | None
     base: SystemParams
+    stable: np.ndarray
+    failed: np.ndarray
+    measures: np.ndarray
+    backward_stable: np.ndarray | None = None
+    contrasts: np.ndarray | None = None
+    validity: tuple[ValidityReport | None, ...] | None = None
 
     def __post_init__(self) -> None:
         expected = int(np.prod([len(grid) for _, grid in self.axes]))
-        if len(self.records) != expected:
+        if len(self.stable) != expected:
             raise InvalidInputError(
-                f"record count {len(self.records)} != product of axis lengths {expected}"
+                f"point count {len(self.stable)} != product of axis lengths {expected}"
             )
+
+    @property
+    def records(self) -> tuple[SweepRecord, ...]:
+        """One ``SweepRecord`` per grid point, with None for NaN."""
+        n = len(self.stable)
+        mesh = np.meshgrid(*(grid for _, grid in self.axes), indexing="ij")
+        failed = self.failed.tolist()
+        contrasts = [[None] * 4] * n if self.contrasts is None else map(_nullable, self.contrasts)
+        backward = [None] * n if self.backward_stable is None else [
+            None if f else b for f, b in zip(failed, self.backward_stable.tolist())
+        ]
+        return tuple(
+            SweepRecord(values, stable, *measures, *contrast,
+                        backward_stable=b, validity=validity, failed=f)
+            for values, stable, measures, contrast, b, validity, f in zip(
+                zip(*(axis.ravel().tolist() for axis in mesh)), self.stable.tolist(),
+                map(_nullable, self.measures), contrasts, backward,
+                self.validity or [None] * n, failed,
+            )
+        )
+
+
+def _nullable(values: np.ndarray) -> list[float | None]:
+    """Entries of a 1-D array as floats, NaN as None."""
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 @dataclass(frozen=True)
@@ -204,34 +247,31 @@ class Evaluation:
     covariances: np.ndarray
     measures: np.ndarray
     errors: list[MagsqueezeError | None]
-    derived: list[DerivedQuantities | ParametricResonanceError]
+    derived: DerivedColumns
 
 
-def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Evaluation:
+def evaluate(
+    points: Sequence[SystemParams] | ParamColumns, with_measures: bool = True
+) -> Evaluation:
     """Steady states and, unless ``with_measures`` is False, measures of operating points.
 
-    One ``derive_many`` call covers all points and feeds drift and
-    diffusion; stability, the Lyapunov solve and the measures run batched
-    over up to ``_CHUNK`` points.
+    One ``derive_many`` call covers all points and feeds the drift and
+    diffusion stacks; stability, the Lyapunov solve and the measures run
+    batched over up to ``_CHUNK`` points.
     """
-    n = len(points)
+    columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
+    n = len(columns)
     max_real = np.full(n, np.nan)
     covariances = np.full((n, 6, 6), np.nan)
     measures = np.full((n, 4), np.nan)
-    errors: list[MagsqueezeError | None] = [None] * n
-    all_derived = derive_many(points)
+    derived = derive_many(columns)
+    gammas, diffusions = drift_stack(columns, derived), diffusion_stack(columns)
+    errors: list[MagsqueezeError | None] = [derived.exception(k) for k in range(n)]
     for start in range(0, n, _CHUNK):
-        solved, gammas, diffusions = [], [], []
-        for k, derived in enumerate(all_derived[start:start + _CHUNK], start):
-            if isinstance(derived, ParametricResonanceError):
-                errors[k] = derived
-                continue
-            solved.append(k)
-            gammas.append(build_drift(points[k], derived))
-            diffusions.append(build_diffusion(points[k], derived))
-        if not solved:
+        solved = start + np.flatnonzero(derived.error[start:start + _CHUNK] == 0)
+        if not solved.size:
             continue
-        stack = steady_stack(np.array(gammas), np.array(diffusions))
+        stack = steady_stack(gammas[solved], diffusions[solved])
         max_real[solved] = stack.max_real_part
         covariances[solved] = stack.covariances
         for k, error in zip(solved, stack.errors):
@@ -241,7 +281,7 @@ def evaluate(points: Sequence[SystemParams], with_measures: bool = True) -> Eval
             measures[steady], measure_errors = three_mode_measures(covariances[steady])
             for k, error in zip(steady, measure_errors):
                 errors[k] = error
-    return Evaluation(max_real, covariances, measures, errors, all_derived)
+    return Evaluation(max_real, covariances, measures, errors, derived)
 
 
 def _failed(error: MagsqueezeError | None) -> bool:
@@ -265,51 +305,44 @@ def bipartite_entanglement(v: CovarianceMatrix, pair: ModePair) -> float:
     return log_negativity(v, Partition({i}, {j}))
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # the ratio not taken may divide by zero
+def _contrast(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
+    """Bidirectional contrast |f - b| / (f + b) elementwise, 0 where f + b is below the floor."""
+    total = forward + backward
+    return np.where(total < _CONTRAST_FLOOR, 0.0, np.abs(forward - backward) / total)
+
+
 def contrast_ratio(forward: float, backward: float) -> float:
     """Bidirectional contrast |f - b| / (f + b), with 0/0 defined as 0."""
     if forward < 0.0 or backward < 0.0:
         raise InvalidInputError(
             f"contrast inputs must be non-negative, got ({forward}, {backward})"
         )
-    total = forward + backward
-    if total < _CONTRAST_FLOOR:
-        return 0.0
-    return abs(forward - backward) / total
+    return float(_contrast(np.float64(forward), np.float64(backward)))
 
 
-def _point(evaluation: Evaluation, k: int, theta: float) -> DirectionalPoint:
-    if evaluation.errors[k] is not None:
-        return DirectionalPoint(theta, False, None, None, None, None)
-    e_am, e_ab, e_mb, r_min = (float(x) for x in evaluation.measures[k])
-    return DirectionalPoint(theta, True, e_am, e_ab, e_mb, r_min)
+def _directions(
+    base: SystemParams, swept: dict[str, np.ndarray], n: int, pairing: PhasePairing | None
+) -> tuple[Evaluation, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Evaluate ``n`` points, the columns ``swept`` over ``base``, at each
+    phase of ``pairing`` (or at their own phase without one).
 
-
-def _zero_filled(point: DirectionalPoint) -> tuple[float, float, float, float]:
-    if not point.stable:
-        return 0.0, 0.0, 0.0, 0.0
-    assert point.e_am is not None and point.e_ab is not None
-    assert point.e_mb is not None and point.r_min is not None
-    return point.e_am, point.e_ab, point.e_mb, point.r_min
-
-
-def _contrasts(forward: DirectionalPoint, backward: DirectionalPoint) -> ContrastRecord:
-    f_am, f_ab, f_mb, f_r = _zero_filled(forward)
-    b_am, b_ab, b_mb, b_r = _zero_filled(backward)
-    return ContrastRecord(
-        c_am=contrast_ratio(f_am, b_am),
-        c_ab=contrast_ratio(f_ab, b_ab),
-        c_mb=contrast_ratio(f_mb, b_mb),
-        c_r=contrast_ratio(f_r, b_r),
-        forward=forward,
-        backward=backward,
-    )
-
-
-def _phase_pair(params: SystemParams, pairing: PhasePairing) -> list[SystemParams]:
-    return [
-        replace(params, theta=pairing.theta_forward),
-        replace(params, theta=pairing.theta_backward),
-    ]
+    Returns the evaluation, which (n, phases) points have a steady state,
+    which of the ``n`` points failed, and the (n, 4) contrasts with a pairing.
+    """
+    phases = 1 if pairing is None else 2
+    if pairing is not None:
+        swept = {name: np.repeat(column, 2) for name, column in swept.items()}
+        swept["theta"] = np.tile([pairing.theta_forward, pairing.theta_backward], n)
+    base_values = ParamColumns.gather([base]).values
+    evaluation = evaluate(ParamColumns(n * phases, {**base_values, **swept}))
+    steady = np.array([e is None for e in evaluation.errors]).reshape(n, phases)
+    failed = np.array([_failed(e) for e in evaluation.errors]).reshape(n, phases).any(axis=1)
+    if pairing is None:
+        return evaluation, steady, failed, None
+    # A phase with no steady state carries no steady entanglement.
+    measures = np.where(steady[..., None], evaluation.measures.reshape(n, 2, 4), 0.0)
+    return evaluation, steady, failed, _contrast(measures[:, 0], measures[:, 1])
 
 
 def directional_measures(params: SystemParams, pairing: PhasePairing) -> ContrastRecord:
@@ -317,17 +350,22 @@ def directional_measures(params: SystemParams, pairing: PhasePairing) -> Contras
 
     Raises ``NoMeasuresError`` when neither phase admits a steady state.
     """
-    evaluation = evaluate(_phase_pair(params, pairing))
+    evaluation, steady, _, contrasts = _directions(params, {}, 1, pairing)
     for error in evaluation.errors:
         if _failed(error):
             raise error
-    forward = _point(evaluation, 0, pairing.theta_forward)
-    backward = _point(evaluation, 1, pairing.theta_backward)
-    if not forward.stable and not backward.stable:
+    if not steady.any():
         raise NoMeasuresError(
             "neither phase setting of the pairing admits a steady state"
         )
-    return _contrasts(forward, backward)
+    forward, backward = (
+        DirectionalPoint(theta, stable, *_nullable(measures))
+        for theta, stable, measures in zip(
+            (pairing.theta_forward, pairing.theta_backward), steady[0].tolist(),
+            evaluation.measures,
+        )
+    )
+    return ContrastRecord(*contrasts[0].tolist(), forward, backward)
 
 
 def _validate_axes(
@@ -353,8 +391,10 @@ def _validate_axes(
             raise ConfigError(f"axis {name!r} must be a non-empty 1-D grid")
         if not np.all(np.isfinite(grid)):
             raise ConfigError(f"axis {name!r} contains non-finite values")
+        # Every SystemParams check is a sign, finiteness or None-pattern check,
+        # so the extreme values stand for the whole axis.
         try:
-            for value in grid:
+            for value in {grid.min(), grid.max()}:
                 replace(params_base, **{name: float(value)})
         except InvalidInputError as exc:
             raise ConfigError(f"axis {name!r} is incompatible with the base parameters: {exc}") from exc
@@ -362,21 +402,11 @@ def _validate_axes(
     return tuple(cleaned)
 
 
-def _null_record(
-    axis_values: tuple[float, ...], backward_stable: bool | None, failed: bool = False
-) -> SweepRecord:
-    return SweepRecord(
-        axis_values, False, None, None, None, None,
-        backward_stable=backward_stable, failed=failed,
-    )
-
-
 def sweep(
     params_base: SystemParams,
     axes: Sequence[tuple[str, Sequence[float]]],
     pairing: PhasePairing | None = None,
     measures: Sequence[str] | None = None,
-    threads: int = 1,
     kerr_coefficient: float | None = None,
 ) -> SweepResult:
     """Evaluate steady-state measures over a 1-D or 2-D parameter grid.
@@ -385,89 +415,52 @@ def sweep(
     units as the corresponding ``SystemParams`` fields.  With a pairing,
     every point is solved at both phases and contrast columns are filled;
     the point's own measures are those of the forward phase.  ``measures``
-    selects a subset of {"E_am", "E_ab", "E_mb", "R_min"} (None keeps
-    all); unselected measures are reported as None.  When
-    ``kerr_coefficient`` is given and the parameters carry drive and
-    geometry information, a per-point validity report is attached.
+    selects a subset of ``MEASURES`` (None keeps all); unselected measures
+    are NaN.  When ``kerr_coefficient`` is given and the parameters carry
+    drive and geometry information, a validity report at the point's own
+    (with a pairing, the forward) phase is attached to each point.
 
     A point that is unstable, or that fails (parametric resonance in the
     steady amplitude, a Lyapunov residual above 1e-10, an unphysical
-    state), becomes a null record; failed ones are flagged ``failed``.
-    Record ordering is row-major over the axes.  ``threads`` is accepted
-    for compatibility and must be >= 1; evaluation is batched and serial.
+    state), gets null measures; failed ones are flagged ``failed``.
+    Points are ordered row-major over the axes.
     """
     grid_axes = _validate_axes(params_base, axes, pairing)
-    selected = frozenset(measures) if measures is not None else frozenset(
-        {"E_am", "E_ab", "E_mb", "R_min"}
-    )
-    unknown = selected - {"E_am", "E_ab", "E_mb", "R_min"}
+    selected = MEASURES if measures is None else tuple(measures)
+    unknown = sorted(set(selected) - set(MEASURES))
     if unknown:
-        raise ConfigError(f"unknown measure selection: {sorted(unknown)}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+        raise ConfigError(f"unknown measure selection: {unknown}")
 
-    mesh = [tuple()]  # row-major cartesian product of axis values
-    for _, grid in grid_axes:
-        mesh = [prefix + (float(v),) for prefix in mesh for v in grid]
-    names = [name for name, _ in grid_axes]
-    grid_params = [replace(params_base, **dict(zip(names, values))) for values in mesh]
-    if pairing is None:
-        evaluation = evaluate(grid_params)
-    else:
-        evaluation = evaluate([p for params in grid_params for p in _phase_pair(params, pairing)])
+    mesh = np.meshgrid(*(grid for _, grid in grid_axes), indexing="ij")
+    swept = {name: axis.ravel() for (name, _), axis in zip(grid_axes, mesh)}
+    if "theta" in swept:
+        swept["theta"] = np.mod(swept["theta"], TWO_PI)  # as SystemParams normalizes it
+    n = mesh[0].size
+    evaluation, steady, failed, contrasts = _directions(params_base, swept, n, pairing)
+    phases = steady.shape[1]
+    # A null point has no steady state at any phase, or failed.
+    stable = steady[:, 0] & ~failed
+    backward_stable = None if pairing is None else steady[:, 1] & ~failed
+    shown = stable if backward_stable is None else stable | backward_stable
+    if contrasts is not None:
+        contrasts = np.where(shown[:, None], contrasts, np.nan)
+    kept = stable[:, None] & np.isin(MEASURES, selected)
+    forward = np.where(kept, evaluation.measures[::phases], np.nan)
 
-    def mask(point: DirectionalPoint) -> dict[str, float | None]:
-        return {
-            "e_am": point.e_am if "E_am" in selected else None,
-            "e_ab": point.e_ab if "E_ab" in selected else None,
-            "e_mb": point.e_mb if "E_mb" in selected else None,
-            "r_min": point.r_min if "R_min" in selected else None,
-        }
-
-    def validity(params: SystemParams, first: int) -> ValidityReport | None:
-        if kerr_coefficient is None:
-            return None
-        # With a pairing the grid point's own phase was not evaluated.
-        derived = evaluation.derived[first] if pairing is None else None
+    validity = None
+    if kerr_coefficient is not None:
+        m_s = evaluation.derived.m_s[::phases].tolist()
         try:
-            return validity_report(params, kerr_coefficient, derived)
-        except (InvalidInputError, ParametricResonanceError):
-            return None
-
-    stride = 1 if pairing is None else 2
-    records: list[SweepRecord] = []
-    for index, (axis_values, params) in enumerate(zip(mesh, grid_params)):
-        first = stride * index
-        if any(_failed(e) for e in evaluation.errors[first:first + stride]):
-            records.append(_null_record(axis_values, None, failed=True))
-            continue
-        theta = params.theta if pairing is None else pairing.theta_forward
-        forward = _point(evaluation, first, theta)
-        contrasts: dict[str, float | bool] = {}
-        if pairing is not None:
-            backward = _point(evaluation, first + 1, pairing.theta_backward)
-            if not forward.stable and not backward.stable:
-                records.append(_null_record(axis_values, backward_stable=False))
-                continue
-            c = _contrasts(forward, backward)
-            contrasts = dict(c_am=c.c_am, c_ab=c.c_ab, c_mb=c.c_mb, c_r=c.c_r,
-                             backward_stable=backward.stable)
-        elif not forward.stable:
-            records.append(_null_record(axis_values, None))
-            continue
-        records.append(SweepRecord(
-            axis_values=axis_values, stable=forward.stable, validity=validity(params, first),
-            **mask(forward), **contrasts,
-        ))
-    return SweepResult(axes=grid_axes, records=tuple(records), pairing=pairing, base=params_base)
-
-
-_CONTRAST_COLUMNS: dict[str, str] = {
-    "C_E_am": "c_am",
-    "C_E_ab": "c_ab",
-    "C_E_mb": "c_mb",
-    "C_R": "c_r",
-}
+            validity = tuple(
+                _validity(params_base, kerr_coefficient, m, s) if show else None
+                for m, s, show in zip(m_s, stable.tolist(), shown.tolist())
+            )
+        except InvalidInputError:  # no drive or geometry to check
+            pass
+    return SweepResult(
+        axes=grid_axes, pairing=pairing, base=params_base, stable=stable, failed=failed,
+        measures=forward, backward_stable=backward_stable, contrasts=contrasts, validity=validity,
+    )
 
 
 def temperature_thresholds(result: SweepResult, measure: str) -> list[tuple[float, float]]:
@@ -476,29 +469,20 @@ def temperature_thresholds(result: SweepResult, measure: str) -> list[tuple[floa
     Requires a 1-D temperature sweep carrying pairing contrasts.  Interval
     bounds are grid values in kelvin.
     """
-    if measure not in _CONTRAST_COLUMNS:
+    if measure not in CONTRASTS:
         raise ConfigError(
-            f"unknown contrast measure {measure!r}; expected one of {sorted(_CONTRAST_COLUMNS)}"
+            f"unknown contrast measure {measure!r}; expected one of {sorted(CONTRASTS)}"
         )
-    if result.pairing is None:
+    if result.contrasts is None:
         raise ConfigError("threshold extraction needs a sweep with a phase pairing")
     if len(result.axes) != 1 or result.axes[0][0] != "temperature":
         raise ConfigError("threshold extraction needs a single temperature axis")
 
-    attr = _CONTRAST_COLUMNS[measure]
     temperatures = result.axes[0][1]
-    intervals: list[tuple[float, float]] = []
-    start: float | None = None
-    last: float | None = None
-    for record, temperature in zip(result.records, temperatures):
-        value = getattr(record, attr)
-        if value is not None and value >= IDEAL_CONTRAST:
-            if start is None:
-                start = float(temperature)
-            last = float(temperature)
-        elif start is not None:
-            intervals.append((start, float(last)))
-            start = None
-    if start is not None:
-        intervals.append((start, float(last)))
-    return intervals
+    ideal = result.contrasts[:, CONTRASTS.index(measure)] >= IDEAL_CONTRAST  # False on NaN
+    # Interval ends are where the padded indicator changes: starts, then stops.
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], ideal.astype(np.int8), [0]])))
+    return [
+        (float(temperatures[lo]), float(temperatures[hi - 1]))
+        for lo, hi in zip(edges[::2], edges[1::2])
+    ]

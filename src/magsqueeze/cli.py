@@ -12,19 +12,19 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import evaluate, steady_state, sweep, temperature_thresholds
+from .analysis import CONTRASTS, evaluate, steady_state, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
     InvalidInputError,
-    InvalidStateError,
+    MagsqueezeError,
     NoMeasuresError,
     NoSteadyStateError,
     NumericalError,
     ParametricResonanceError,
 )
 from .gaussian import wigner_single_mode
-from .model import derive, rabi_frequency, total_spins, validity_report
+from .model import ValidityReport, rabi_frequency, total_spins, validity_report
 from .tableio import ResultTable, sweep_table, write_csv, write_json
 
 __all__ = ["main"]
@@ -34,8 +34,6 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_STEADY_STATE = 3
 EXIT_NUMERICAL = 4
-
-_CONTRAST_MEASURES = ("C_E_am", "C_E_ab", "C_E_mb", "C_R")
 
 
 def _base_metadata(config: RunConfig, command: str) -> list[tuple[str, str]]:
@@ -52,12 +50,21 @@ def _writable_dir(path: Path) -> Path:
     return path
 
 
+def _write(table: ResultTable, stem: Path, fmt: str, label: str = "wrote") -> None:
+    """Write ``table`` to ``stem``.csv, and to ``stem``.json as well when ``fmt`` is json."""
+    for suffix, write in ((".csv", write_csv), (".json", write_json)):
+        if suffix == ".csv" or fmt == "json":
+            path = stem.with_name(stem.name + suffix)
+            write(table, path)
+            print(f"{label} {path}")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _print_validity(config: RunConfig) -> bool | None:
-    """Print the validity report; returns overall verdict or None if unavailable."""
+def _print_validity(config: RunConfig) -> ValidityReport | None:
+    """Print the validity report and return it; None if unavailable."""
     if config.kerr is None:
         print("validity: skipped (set validate.kerr_over_2pi_hz to enable)")
         return None
@@ -77,7 +84,7 @@ def _print_validity(config: RunConfig) -> bool | None:
         f" (threshold 0.5, {'PASS' if report.kerr_ok else 'FAIL'})"
     )
     print(f"validity: stable = {'PASS' if report.stable else 'FAIL'}")
-    return report.low_excitation_ok and report.kerr_ok and report.stable
+    return report
 
 
 def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
@@ -106,18 +113,15 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
             rows=[tuple(float(x) for x in row) for row in evaluation.covariances[0]],
             metadata=_base_metadata(config, "steady"),
         )
-        path = out / "covariance.csv"
-        write_csv(table, path)
-        print(f"covariance written to {path}")
-        if fmt == "json":
-            write_json(table, out / "covariance.json")
-            print(f"covariance written to {out / 'covariance.json'}")
+        _write(table, out / "covariance", fmt, "covariance written to")
     return EXIT_OK
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str, threads: int) -> int:
     if config.sweep is None:
         raise ConfigError("the sweep command needs a sweep section in the config")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = _writable_dir(out_dir)
 
     spec = config.sweep
@@ -126,7 +130,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str, threads: int) -> int:
         axes=[(axis.name, axis.si_values) for axis in spec.axes],
         pairing=spec.pairing,
         measures=spec.measures,
-        threads=threads,
     )
 
     metadata = _base_metadata(config, "sweep")
@@ -144,7 +147,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str, threads: int) -> int:
             )
         )
         if len(spec.axes) == 1 and spec.axes[0].name == "temperature":
-            for measure in _CONTRAST_MEASURES:
+            for measure in CONTRASTS:
                 intervals = temperature_thresholds(result, measure)
                 text = "; ".join(f"{lo!r}..{hi!r} K" for lo, hi in intervals) or "none"
                 metadata.append((f"ideal_zone {measure}", text))
@@ -154,13 +157,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str, threads: int) -> int:
         axis_columns=[(axis.column_name, axis.display_values) for axis in spec.axes],
         extra_metadata=metadata,
     )
-    csv_path = out / "sweep.csv"
-    write_csv(table, csv_path)
-    print(f"wrote {csv_path}")
-    if fmt == "json":
-        json_path = out / "sweep.json"
-        write_json(table, json_path)
-        print(f"wrote {json_path}")
+    _write(table, out / "sweep", fmt)
     return EXIT_OK
 
 
@@ -185,29 +182,17 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
         metadata = _base_metadata(config, "wigner")
         metadata.append(("theta_rad", repr(float(theta))))
         metadata.append(("normalization_integral", repr(norm)))
-        table = ResultTable(
-            columns=["x", "y", "W"],
-            rows=[
-                (float(points[i, 0]), float(points[i, 1]), float(w[i]))
-                for i in range(points.shape[0])
-            ],
-            metadata=metadata,
-        )
-        path = out / f"wigner_theta_{_phase_tag(theta)}pi.csv"
-        write_csv(table, path)
-        print(f"wrote {path}")
-        if fmt == "json":
-            json_path = out / f"wigner_theta_{_phase_tag(theta)}pi.json"
-            write_json(table, json_path)
-            print(f"wrote {json_path}")
+        rows = [tuple(row) for row in np.column_stack([points, w]).tolist()]
+        table = ResultTable(columns=["x", "y", "W"], rows=rows, metadata=metadata)
+        _write(table, out / f"wigner_theta_{_phase_tag(theta)}pi", fmt)
     return EXIT_OK
 
 
 def cmd_validate(config: RunConfig) -> int:
     if config.kerr is None:
         raise ConfigError("the validate command needs validate.kerr_over_2pi_hz in the config")
-    verdict = _print_validity(config)
-    if verdict is None:
+    report = _print_validity(config)
+    if report is None:
         raise ConfigError(
             "validity checks need drive (rabi_rad_per_s or h_d_tesla) and sphere_diameter_m"
         )
@@ -221,9 +206,8 @@ def cmd_validate(config: RunConfig) -> int:
                 f"drive: configured rabi = {_fmt(params.rabi)} rad/s"
                 f" (configured/derived = {_fmt(params.rabi / computed)})"
             )
-    used = derive(params).omega_rabi
-    if used is not None:
-        print(f"drive: rabi used = {_fmt(used)} rad/s")
+    print(f"drive: rabi used = {_fmt(report.drive_amplitude)} rad/s")
+    verdict = report.low_excitation_ok and report.kerr_ok and report.stable
     print(f"overall: {'PASS' if verdict else 'FAIL'}")
     return EXIT_OK if verdict else EXIT_VALIDATION_FAILED
 
@@ -268,21 +252,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "wigner":
             return cmd_wigner(config, out_dir, args.format)
         return cmd_validate(config)
-    except ConfigError as exc:
+    except (MagsqueezeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidInputError, InvalidStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NoSteadyStateError, ParametricResonanceError, NoMeasuresError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_STEADY_STATE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, (NoSteadyStateError, ParametricResonanceError, NoMeasuresError)):
+            return EXIT_NO_STEADY_STATE
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 import yaml
 
-from .analysis import PhasePairing
+from .analysis import MEASURES, PhasePairing
 from .errors import ConfigError, InvalidInputError
 from .model import TWO_PI, SystemParams
 
@@ -80,8 +80,6 @@ _AXIS_COLUMNS: dict[str, tuple[float, str]] = {
     "temperature": (1.0, "temperature_K"),
 }
 
-_MEASURE_NAMES = ("E_am", "E_ab", "E_mb", "R_min")
-
 _DEFAULT_WIGNER_PHASES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
 
@@ -132,6 +130,12 @@ def _require_mapping(obj: Any, where: str) -> dict[str, Any]:
     return dict(obj)
 
 
+def _reject_unknown(block: Mapping[str, Any], allowed: set[str], where: str) -> None:
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+
+
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -175,10 +179,7 @@ def _parse_parameters(raw: dict[str, Any]) -> SystemParams:
 
 def _parse_axis(raw: Any, index: int) -> AxisSpec:
     axis = _require_mapping(raw, f"sweep.axes[{index}]")
-    allowed = {"name", "start", "stop", "points", "unit"}
-    unknown = sorted(set(axis) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in sweep.axes[{index}]: {unknown}")
+    _reject_unknown(axis, {"name", "start", "stop", "points", "unit"}, f"sweep.axes[{index}]")
     for key in ("name", "start", "stop", "points"):
         if key not in axis:
             raise ConfigError(f"sweep.axes[{index}] is missing required key {key!r}")
@@ -209,10 +210,7 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
 
 
 def _parse_sweep(raw: dict[str, Any]) -> SweepSpec:
-    allowed = {"axes", "pairing", "measures"}
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in sweep section: {unknown}")
+    _reject_unknown(raw, {"axes", "pairing", "measures"}, "sweep section")
     if "axes" not in raw or not isinstance(raw["axes"], Sequence) or isinstance(raw["axes"], str):
         raise ConfigError("sweep.axes must be a list of axis mappings")
     axes = tuple(_parse_axis(a, i) for i, a in enumerate(raw["axes"]))
@@ -220,9 +218,7 @@ def _parse_sweep(raw: dict[str, Any]) -> SweepSpec:
     pairing: PhasePairing | None = None
     if "pairing" in raw and raw["pairing"] is not None:
         block = _require_mapping(raw["pairing"], "sweep.pairing")
-        unknown = sorted(set(block) - {"theta_forward_rad", "theta_backward_rad"})
-        if unknown:
-            raise ConfigError(f"unknown keys in sweep.pairing: {unknown}")
+        _reject_unknown(block, {"theta_forward_rad", "theta_backward_rad"}, "sweep.pairing")
         for key in ("theta_forward_rad", "theta_backward_rad"):
             if key not in block:
                 raise ConfigError(f"sweep.pairing is missing required key {key!r}")
@@ -238,18 +234,15 @@ def _parse_sweep(raw: dict[str, Any]) -> SweepSpec:
     if "measures" in raw and raw["measures"] is not None:
         if not isinstance(raw["measures"], Sequence) or isinstance(raw["measures"], str):
             raise ConfigError("sweep.measures must be a list of measure names")
-        bad = sorted(set(raw["measures"]) - set(_MEASURE_NAMES))
+        bad = sorted(set(raw["measures"]) - set(MEASURES))
         if bad:
-            raise ConfigError(f"unknown sweep measures: {bad}; valid: {list(_MEASURE_NAMES)}")
+            raise ConfigError(f"unknown sweep measures: {bad}; valid: {list(MEASURES)}")
         measures = tuple(raw["measures"])
     return SweepSpec(axes=axes, pairing=pairing, measures=measures)
 
 
 def _parse_wigner(raw: dict[str, Any]) -> WignerSpec:
-    allowed = {"phases_rad", "points_per_axis", "extent_sigmas"}
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in wigner section: {unknown}")
+    _reject_unknown(raw, {"phases_rad", "points_per_axis", "extent_sigmas"}, "wigner section")
     phases = _DEFAULT_WIGNER_PHASES
     if "phases_rad" in raw:
         if not isinstance(raw["phases_rad"], Sequence) or isinstance(raw["phases_rad"], str):
@@ -319,17 +312,13 @@ def build_run_config(raw: Any, overrides: Sequence[str] = ()) -> RunConfig:
     wigner_spec = _parse_wigner(_require_mapping(tree.get("wigner"), "wigner"))
 
     steady_block = _require_mapping(tree.get("steady"), "steady")
-    unknown = sorted(set(steady_block) - {"dump_covariance"})
-    if unknown:
-        raise ConfigError(f"unknown keys in steady section: {unknown}")
+    _reject_unknown(steady_block, {"dump_covariance"}, "steady section")
     dump = steady_block.get("dump_covariance", False)
     if not isinstance(dump, bool):
         raise ConfigError("steady.dump_covariance must be a boolean")
 
     validate_block = _require_mapping(tree.get("validate"), "validate")
-    unknown = sorted(set(validate_block) - {"kerr_over_2pi_hz"})
-    if unknown:
-        raise ConfigError(f"unknown keys in validate section: {unknown}")
+    _reject_unknown(validate_block, {"kerr_over_2pi_hz"}, "validate section")
     kerr: float | None = None
     if "kerr_over_2pi_hz" in validate_block:
         kerr = TWO_PI * _as_number(validate_block["kerr_over_2pi_hz"], "kerr_over_2pi_hz")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +24,8 @@ from .errors import InvalidInputError, ParametricResonanceError
 
 __all__ = [
     "SystemParams",
+    "ParamColumns",
+    "DerivedColumns",
     "DerivedQuantities",
     "ValidityReport",
     "thermal_occupation",
@@ -51,8 +53,14 @@ _SHIFT_RTOL: float = 1e-9
 
 # Relative floor below which the drive denominator counts as singular.
 _DENOMINATOR_RTOL: float = 1e-6
-_RESONANCE = "steady amplitude denominator vanishes: the two-magnon drive is at parametric resonance"
-_NO_FIXED_POINT = "self-consistent magnon detuning has no fixed point below the bare detuning"
+# Error codes of ``derive_many``: 0 where a point derives, otherwise the
+# index of its ``ParametricResonanceError`` message in ``_FAILURES``.
+_RESONANCE, _NO_FIXED_POINT = 1, 2
+_FAILURES = (
+    "",
+    "steady amplitude denominator vanishes: the two-magnon drive is at parametric resonance",
+    "self-consistent magnon detuning has no fixed point below the bare detuning",
+)
 
 
 @dataclass(frozen=True)
@@ -204,20 +212,47 @@ def rabi_frequency(h_d: float, n_spins: float, gyromagnetic_ratio: float = TWO_P
     return (math.sqrt(5.0) / 4.0) * gyromagnetic_ratio * math.sqrt(n_spins) * h_d
 
 
-def _bare_detunings(params: SystemParams) -> tuple[float, float]:
+def _resolved(params: SystemParams) -> dict[str, float | None]:
+    """The bare detunings and the drive amplitude (None without a drive) of ``params``."""
+    resolved = {"delta_a": params.delta_a, "delta_m": params.delta_m, "omega_rabi": params.rabi}
     if params.omega_0 is not None:
-        return params.omega_a - params.omega_0, params.omega_m - params.omega_0
-    assert params.delta_a is not None and params.delta_m is not None
-    return params.delta_a, params.delta_m
-
-
-def _resolve_rabi(params: SystemParams) -> float | None:
-    if params.rabi is not None:
-        return params.rabi
-    if params.h_d is not None and params.sphere_diameter is not None:
+        resolved["delta_a"] = params.omega_a - params.omega_0
+        resolved["delta_m"] = params.omega_m - params.omega_0
+    if params.rabi is None and params.h_d is not None and params.sphere_diameter is not None:
         n0 = total_spins(params.sphere_diameter, params.spin_density)
-        return rabi_frequency(params.h_d, n0, params.gyromagnetic_ratio)
-    return None
+        resolved["omega_rabi"] = rabi_frequency(params.h_d, n0, params.gyromagnetic_ratio)
+    return resolved
+
+
+_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SystemParams))
+
+
+@dataclass(frozen=True)
+class ParamColumns:
+    """Operating points as columns.
+
+    ``values`` maps every ``SystemParams`` field, with ``delta_a`` and
+    ``delta_m`` the bare detunings, and ``omega_rabi`` (the drive amplitude)
+    to a float64 array with one entry per point or to a value shared by all
+    ``size`` points; NaN stands for None.
+    """
+
+    size: int
+    values: dict[str, float | NDArray[np.float64]]
+
+    @classmethod
+    def gather(cls, points: Sequence[SystemParams]) -> ParamColumns:
+        """The columns of ``points``, one entry per point."""
+        # vars() lists the fields in order; the resolved values update or follow them.
+        rows = [list({**vars(p), **_resolved(p)}.values()) for p in points]
+        table = np.array(rows, dtype=float).reshape(len(rows), len(_FIELDS) + 1)
+        return cls(len(rows), dict(zip((*_FIELDS, "omega_rabi"), table.T)))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, name: str) -> NDArray[np.float64]:
+        return np.broadcast_to(self.values[name], (self.size,))
 
 
 def _square(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -292,12 +327,12 @@ def _brentq(
 
 
 def _self_consistent_shift(
-    c: dict[str, NDArray], idx: NDArray, delta_bar: NDArray, m_s: NDArray, errors: dict[int, str]
+    c: dict[str, NDArray], idx: NDArray, delta_bar: NDArray, m_s: NDArray, error: NDArray
 ) -> None:
     """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
 
     Writes the solutions into ``delta_bar`` (bare detunings on entry) and
-    ``m_s``, and the points without one into ``errors``.
+    ``m_s``, and the error codes of the points without one into ``error``.
     """
 
     def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
@@ -324,7 +359,7 @@ def _self_consistent_shift(
         idx = idx[~(pole | done)]
         if idx.size == 0:
             break
-    errors.update(dict.fromkeys(on_pole[0].tolist(), _RESONANCE))
+    error[on_pole[0]] = _RESONANCE
     idx = np.concatenate([idx, *on_pole[1:]])
 
     # Plain iteration cycles once the backaction shift exceeds the magnon
@@ -343,67 +378,80 @@ def _self_consistent_shift(
         lo = hi - step
         f_lo = residual(lo, idx)
     found = f_lo < 0.0
-    errors.update(dict.fromkeys(idx[~found].tolist(), _NO_FIXED_POINT))
+    error[idx[~found]] = _NO_FIXED_POINT
     idx, lo, hi, f_lo, f_hi = idx[found], lo[found], hi[found], f_lo[found], f_hi[found]
     xtol = 1e-12 * np.maximum(1.0, np.abs(hi))
     root = _brentq(lambda x: residual(x, idx), lo, hi, f_lo, f_hi, xtol)
-    errors.update(dict.fromkeys(idx[np.isnan(root)].tolist(), _NO_FIXED_POINT))
+    error[idx[np.isnan(root)]] = _NO_FIXED_POINT
     idx, root = idx[~np.isnan(root)], root[~np.isnan(root)]
     delta_bar[idx], m_s[idx], pole = shifted(root, idx)
-    errors.update(dict.fromkeys(idx[pole].tolist(), _RESONANCE))
+    error[idx[pole]] = _RESONANCE
 
 
-def derive_many(
-    points: Sequence[SystemParams],
-) -> list[DerivedQuantities | ParametricResonanceError]:
-    """``derive`` for many operating points, with one batched self-consistent shift.
+@dataclass(frozen=True)
+class DerivedColumns:
+    """Per-point results of ``derive_many``.
 
-    A point at parametric resonance, or whose shift has no fixed point,
-    gets the ``ParametricResonanceError`` that ``derive`` raises for it.
+    ``delta_m_bar`` is the effective magnon detuning and ``m_s`` the steady
+    magnon amplitude, NaN without a drive.  ``error`` is 0 where a point
+    derived and otherwise the code of its ``ParametricResonanceError``.
     """
-    rabis = [_resolve_rabi(p) for p in points]
-    c = {name: np.array([getattr(p, name) or 0.0 for p in points], dtype=float)
-         for name in ("kappa_a", "kappa_m", "g_a", "upsilon", "theta", "omega_b", "g_m")}
-    bare = np.array([_bare_detunings(p) for p in points], dtype=float)
-    c["delta_a"], c["delta_m"] = bare.reshape(-1, 2).T
-    c["rabi"] = np.array([r or 0.0 for r in rabis])
+
+    delta_m_bar: NDArray[np.float64]
+    m_s: NDArray[np.complex128]
+    error: NDArray[np.int8]
+
+    def exception(self, k: int) -> ParametricResonanceError | None:
+        """The error of point ``k``; None where it derived."""
+        return ParametricResonanceError(_FAILURES[self.error[k]]) if self.error[k] else None
+
+
+def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns:
+    """Effective magnon detunings and steady amplitudes of many operating
+    points, with one batched self-consistent shift.
+
+    A point at parametric resonance, or whose shift has no fixed point, gets
+    the error code of the ``ParametricResonanceError`` ``derive`` raises for it.
+    """
+    columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
+    c = {name: columns[name] for name in ("kappa_a", "delta_a", "kappa_m", "delta_m", "omega_b")}
+    c["rabi"] = columns["omega_rabi"]
     # The parts of the amplitude and of the shift that do not depend on Delta_m_bar.
-    upsilon, weight = c["upsilon"], _square(c["delta_a"]) + _square(c["kappa_a"])
+    upsilon, weight = columns["upsilon"], _square(c["delta_a"]) + _square(c["kappa_a"])
     c.update(
-        g_a2=_square(c["g_a"]), g_m2=_square(c["g_m"]), drive_weight=_square(upsilon) * weight,
-        squeeze_drive=upsilon * weight * np.exp(1j * c["theta"]),
+        g_a2=_square(columns["g_a"]), g_m2=_square(columns["g_m"]),
+        drive_weight=_square(upsilon) * weight,
+        squeeze_drive=upsilon * weight * np.exp(1j * columns["theta"]),
     )
-    driven = np.array([r is not None for r in rabis], dtype=bool)
-    bare_coupling = [p.omega_0 is not None and p.g_m is not None for p in points]
-    shift = driven & np.array(bare_coupling, dtype=bool)
+    driven = ~np.isnan(c["rabi"])
+    shift = driven & ~np.isnan(columns["omega_0"]) & ~np.isnan(columns["g_m"])
     delta_bar = c["delta_m"].copy()
-    m_s = np.zeros(len(points), dtype=complex)
-    errors: dict[int, str] = {}
+    m_s = np.full(len(columns), np.nan, dtype=complex)
+    error = np.zeros(len(columns), dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Direct detunings are taken as the effective values; no extra shift.
+        # Direct detunings, or a direct G_m, leave the detuning unshifted.
         direct = np.flatnonzero(driven & ~shift)
         m_s[direct], pole = _steady_amplitude(c, direct, delta_bar[direct])
-        errors.update(dict.fromkeys(direct[pole].tolist(), _RESONANCE))
-        _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, errors)
-    return [
-        ParametricResonanceError(errors[k]) if k in errors
-        else _derived(p, float(delta_bar[k]), complex(m_s[k]) if driven[k] else None, rabis[k])
-        for k, p in enumerate(points)
-    ]
+        error[direct[pole]] = _RESONANCE
+        _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, error)
+    return DerivedColumns(delta_bar, m_s, error)
+
+
+def _one(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
+    """The columns and derivation of one point; raises its ``ParametricResonanceError``."""
+    columns = ParamColumns.gather([params])
+    derived = derive_many(columns)
+    if derived.error[0]:
+        raise derived.exception(0)
+    return columns, derived
 
 
 def derive(params: SystemParams) -> DerivedQuantities:
     """Resolve detunings, steady amplitudes, couplings and occupations."""
-    derived = derive_many([params])[0]
-    if isinstance(derived, ParametricResonanceError):
-        raise derived
-    return derived
-
-
-def _derived(
-    params: SystemParams, delta_m_bar: float, m_s: complex | None, omega_rabi: float | None
-) -> DerivedQuantities:
-    delta_a, delta_m = _bare_detunings(params)
+    columns, derived = _one(params)
+    delta_m_bar = float(derived.delta_m_bar[0])
+    omega_rabi = _resolved(params)["omega_rabi"]
+    m_s = None if omega_rabi is None else complex(derived.m_s[0])
     n_0: float | None = None
     if params.sphere_diameter is not None:
         n_0 = total_spins(params.sphere_diameter, params.spin_density)
@@ -421,8 +469,8 @@ def _derived(
     delta_theta = params.upsilon * math.sin(params.theta)
     kappa_theta = params.upsilon * math.cos(params.theta)
     return DerivedQuantities(
-        delta_a=delta_a,
-        delta_m=delta_m,
+        delta_a=float(columns["delta_a"][0]),
+        delta_m=float(columns["delta_m"][0]),
         delta_m_bar=delta_m_bar,
         delta_theta=delta_theta,
         kappa_theta=kappa_theta,
@@ -500,97 +548,115 @@ def effective_coupling(params: SystemParams) -> complex:
     return derived.G_m_effective
 
 
-def _coupling_magnitude(derived: DerivedQuantities, params: SystemParams) -> float:
-    if params.G_m is not None:
-        return float(params.G_m)
-    if derived.G_m_effective is None:
-        raise InvalidInputError(
-            "drift matrix needs G_m, or g_m with a drive to form the steady amplitude"
-        )
-    # Real drift entry: the coupling phase is absorbed into the mechanical
-    # quadrature reference, leaving the modulus.
-    return abs(derived.G_m_effective)
-
-
-def build_drift(
-    params: SystemParams, derived: DerivedQuantities | None = None
-) -> NDArray[np.float64]:
-    """Drift matrix of the linearized quadrature dynamics.
+def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.float64]:
+    """Drift matrices of the linearized quadrature dynamics, one (6, 6) per point.
 
     Row/column order ``(x_a, p_a, x_m, p_m, q, p)``.  The squeezing drive
     enters the magnon block only: the phase splits the effective magnon
     decay into ``kappa_m +/- upsilon*cos(theta)`` and the detuning into
     ``delta_m_bar +/- upsilon*sin(theta)``.  ``derived`` is
-    ``derive(params)`` when the caller already has it.
+    ``derive_many(columns)``; the matrix of a point it failed is not
+    meaningful.
     """
-    d = derive(params) if derived is None else derived
-    g = _coupling_magnitude(d, params)
-    return np.array(
-        [
-            [-params.kappa_a, d.delta_a, 0.0, params.g_a, 0.0, 0.0],
-            [-d.delta_a, -params.kappa_a, -params.g_a, 0.0, 0.0, 0.0],
-            [0.0, params.g_a, -d.kappa_theta_plus, d.delta_theta_plus, -g, 0.0],
-            [-params.g_a, 0.0, -d.delta_theta_minus, -d.kappa_theta_minus, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, params.omega_b],
-            [0.0, 0.0, 0.0, g, -params.omega_b, -params.gamma_b],
-        ]
-    )
+    c = columns
+    if np.any(np.isnan(c["G_m"]) & np.isnan(c["omega_rabi"])):
+        raise InvalidInputError(
+            "drift matrix needs G_m, or g_m with a drive to form the steady amplitude"
+        )
+    # Real drift entry: the phase of i sqrt(2) g_m m_s is absorbed into the
+    # mechanical quadrature reference, leaving the modulus, formed in the
+    # operation order of Python's complex type (see _steady_amplitude).
+    scale, m_s = math.sqrt(2.0) * c["g_m"], derived.m_s
+    g = np.where(np.isnan(c["G_m"]), np.hypot(scale * m_s.imag, scale * m_s.real), c["G_m"])
+    split_delta = c["upsilon"] * np.sin(c["theta"])
+    split_kappa = c["upsilon"] * np.cos(c["theta"])
+    kappa_m, delta_bar = c["kappa_m"], derived.delta_m_bar
+    gamma = np.zeros((len(c), 6, 6))
+    gamma[:, 0, 0] = gamma[:, 1, 1] = -c["kappa_a"]
+    gamma[:, 0, 1], gamma[:, 1, 0] = c["delta_a"], -c["delta_a"]
+    gamma[:, 0, 3] = gamma[:, 2, 1] = c["g_a"]
+    gamma[:, 1, 2] = gamma[:, 3, 0] = -c["g_a"]
+    gamma[:, 2, 2], gamma[:, 3, 3] = -(kappa_m + split_kappa), -(kappa_m - split_kappa)
+    gamma[:, 2, 3], gamma[:, 3, 2] = delta_bar + split_delta, -(delta_bar - split_delta)
+    gamma[:, 2, 4], gamma[:, 5, 3] = -g, g
+    gamma[:, 4, 5], gamma[:, 5, 4] = c["omega_b"], -c["omega_b"]
+    gamma[:, 5, 5] = -c["gamma_b"]
+    return gamma
 
 
-def build_diffusion(
-    params: SystemParams, derived: DerivedQuantities | None = None
-) -> NDArray[np.float64]:
-    """Diagonal input-noise matrix diag[kappa_a(2n_a+1) x2, kappa_m(2n_m+1) x2, 0, gamma_b(2n_b+1)].
+def diffusion_stack(columns: ParamColumns) -> NDArray[np.float64]:
+    """Diagonal input-noise matrices, one
+    diag[kappa_a(2n_a+1) x2, kappa_m(2n_m+1) x2, 0, gamma_b(2n_b+1)] per point."""
+    c = columns
+    lam = np.zeros((len(c), 6, 6))
+    for rate, omega, diagonal in (
+        ("kappa_a", "omega_a", [0, 1]), ("kappa_m", "omega_m", [2, 3]), ("gamma_b", "omega_b", [5])
+    ):
+        # One thermal_occupation per distinct (omega, temperature).
+        pairs = list(zip(c[omega].tolist(), c["temperature"].tolist()))
+        table = {pair: thermal_occupation(*pair) for pair in set(pairs)}
+        noise = c[rate] * (2.0 * np.array([table[pair] for pair in pairs]) + 1.0)
+        lam[:, diagonal, diagonal] = noise[:, None]
+    return lam
 
-    ``derived`` is ``derive(params)`` when the caller already has it.
-    """
-    d = derive(params) if derived is None else derived
-    cavity = params.kappa_a * (2.0 * d.n_a + 1.0)
-    magnon = params.kappa_m * (2.0 * d.n_m + 1.0)
-    phonon = params.gamma_b * (2.0 * d.n_b + 1.0)
-    return np.diag([cavity, cavity, magnon, magnon, 0.0, phonon])
+
+def build_drift(params: SystemParams) -> NDArray[np.float64]:
+    """Drift matrix of one operating point (see ``drift_stack``)."""
+    return drift_stack(*_one(params))[0]
 
 
-def validity_report(
-    params: SystemParams, kerr_coefficient: float, derived: DerivedQuantities | None = None
+def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
+    """Input-noise matrix of one operating point (see ``diffusion_stack``)."""
+    return diffusion_stack(ParamColumns.gather([params]))[0]
+
+
+def _validity(
+    params: SystemParams, kerr_coefficient: float, m_s: complex, stable: bool
 ) -> ValidityReport:
-    """Check the linearization against excitation-number and Kerr bounds.
-
-    Requires the steady amplitude (a drive specification) and the sphere
-    diameter for the spin-count bound.  ``stable`` reflects the drift
-    matrix spectrum at this operating point.  ``derived`` is
-    ``derive(params)`` when the caller already has it.
-    """
+    """Validity report of a point with the drive and geometry of ``params``,
+    from its steady amplitude and stability verdict."""
     if kerr_coefficient < 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
-    derived = derive(params) if derived is None else derived
-    if derived.m_s is None or derived.omega_rabi is None:
+    omega_rabi = _resolved(params)["omega_rabi"]
+    if omega_rabi is None:
         raise InvalidInputError(
             "validity checks need the steady amplitude: set rabi, or h_d with sphere_diameter"
         )
-    if derived.N_0 is None:
+    if params.sphere_diameter is None:
         raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
 
-    amplitude = abs(derived.m_s)
+    amplitude = abs(m_s)
     occupation = amplitude**2
-    bound = 2.0 * derived.N_0 * params.spin_s
+    bound = 2.0 * total_spins(params.sphere_diameter, params.spin_density) * params.spin_s
     kerr_shift = kerr_coefficient * amplitude**3
-    if derived.omega_rabi > 0.0:
-        ratio = kerr_shift / derived.omega_rabi
+    if omega_rabi > 0.0:
+        ratio = kerr_shift / omega_rabi
     else:
         ratio = 0.0 if kerr_shift == 0.0 else math.inf
-
-    from .solver import stability  # local import keeps module layering acyclic
-
-    report = stability(build_drift(params, derived))
     return ValidityReport(
         magnon_amplitude=amplitude,
         magnon_occupation=occupation,
         excitation_bound=bound,
         kerr_coefficient=kerr_coefficient,
         kerr_drive_ratio=ratio,
-        drive_amplitude=derived.omega_rabi,
+        drive_amplitude=omega_rabi,
         low_excitation_ok=occupation < 0.01 * bound,
         kerr_ok=ratio < 0.5,
-        stable=report.is_stable,
+        stable=stable,
     )
+
+
+def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityReport:
+    """Check the linearization against excitation-number and Kerr bounds.
+
+    Requires the steady amplitude (a drive specification) and the sphere
+    diameter for the spin-count bound.  ``stable`` reflects the drift
+    matrix spectrum at this operating point.
+    """
+    from .solver import stability  # local import keeps module layering acyclic
+
+    columns, derived = _one(params)
+    m_s = complex(derived.m_s[0])
+    # Without a drive there is no drift to check, and _validity raises.
+    stable = not np.isnan(m_s) and stability(drift_stack(columns, derived)[0]).is_stable
+    return _validity(params, kerr_coefficient, m_s, stable)

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import SweepResult
+import numpy as np
+
+from .analysis import CONTRASTS, MEASURES, SweepResult, _nullable
 from .errors import InvalidInputError
 
 __all__ = ["ResultTable", "sweep_table", "write_csv", "read_csv", "write_json"]
@@ -63,50 +65,34 @@ def sweep_table(
 
     ``axis_columns`` optionally renames the axis columns and substitutes
     display-unit grids (one per axis, same lengths as the sweep grids);
-    without it the records' own axis values and names are used.  The
+    without it the sweep's own axis names and values are used.  The
     metadata counts stable and unstable points, and failed points when
     there are any.
     """
-    shape = tuple(len(grid) for _, grid in result.axes)
     if axis_columns is None:
-        names = [name for name, _ in result.axes]
-        grids: list[Sequence[float]] | None = None
-    else:
-        if len(axis_columns) != len(result.axes) or any(
-            len(grid) != n for (_, grid), n in zip(axis_columns, shape)
-        ):
-            raise InvalidInputError("axis_columns must match the sweep axes in count and length")
-        names = [name for name, _ in axis_columns]
-        grids = [list(grid) for _, grid in axis_columns]
+        axis_columns = result.axes
+    elif len(axis_columns) != len(result.axes) or any(
+        len(grid) != len(axis) for (_, grid), (_, axis) in zip(axis_columns, result.axes)
+    ):
+        raise InvalidInputError("axis_columns must match the sweep axes in count and length")
 
-    columns = names + ["stable", "E_am", "E_ab", "E_mb", "R_min"]
-    with_contrasts = result.pairing is not None
-    if with_contrasts:
-        columns += ["C_E_am", "C_E_ab", "C_E_mb", "C_R"]
+    mesh = np.meshgrid(*(np.asarray(grid, dtype=float) for _, grid in axis_columns), indexing="ij")
+    columns = [name for name, _ in axis_columns] + ["stable", *MEASURES]
+    cells: list[list[Cell]] = [axis.ravel().tolist() for axis in mesh]
+    cells.append(result.stable.astype(int).tolist())
+    cells += [_nullable(values) for values in result.measures.T]
+    if result.contrasts is not None:
+        columns += CONTRASTS
+        cells += [_nullable(values) for values in result.contrasts.T]
 
-    rows: list[tuple[Cell, ...]] = []
-    strides = [1] * len(shape)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    for index, record in enumerate(result.records):
-        if grids is None:
-            row: list[Cell] = list(record.axis_values)
-        else:
-            row = [grids[k][(index // strides[k]) % shape[k]] for k in range(len(shape))]
-        row.append(int(record.stable))
-        row += [record.e_am, record.e_ab, record.e_mb, record.r_min]
-        if with_contrasts:
-            row += [record.c_am, record.c_ab, record.c_mb, record.c_r]
-        rows.append(tuple(row))
-
-    n_stable = sum(1 for r in result.records if r.stable)
+    n_stable = int(result.stable.sum())
     metadata = list(extra_metadata)
     metadata.append(("stable_points", str(n_stable)))
-    metadata.append(("unstable_points", str(len(result.records) - n_stable)))
-    n_failed = sum(1 for r in result.records if r.failed)
+    metadata.append(("unstable_points", str(len(result.stable) - n_stable)))
+    n_failed = int(result.failed.sum())
     if n_failed:
         metadata.append(("failed_points", str(n_failed)))
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    return ResultTable(columns=columns, rows=list(zip(*cells)), metadata=metadata)
 
 
 def to_csv_text(table: ResultTable) -> str:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from magsqueeze import (
     ConfigError,
+    DerivedQuantities,
     InvalidInputError,
     ModePair,
     NoMeasuresError,
     PhasePairing,
-    SweepRecord,
     SweepResult,
+    SystemParams,
     bipartite_entanglement,
     build_drift,
     contrast_ratio,
@@ -198,13 +199,11 @@ class TestSweep:
         assert record.e_mb == pytest.approx(WORKING_POINT["e_mb"], rel=1e-12)
         assert record.r_min == pytest.approx(WORKING_POINT["r_min"], rel=1e-12)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         axes = [("upsilon", np.linspace(0.0, 1.5 * KAPPA_A, 5)), ("g_a", [TWO_PI * 4e6, TWO_PI * 5e6])]
         serial = sweep(make_params(), axes)
         again = sweep(make_params(), axes)
-        threaded = sweep(make_params(), axes, threads=4)
         assert serial.records == again.records
-        assert serial.records == threaded.records
 
     def test_unstable_points_become_null_records(self):
         result = sweep(make_params(theta=1.5 * np.pi), [("upsilon", [KAPPA_A, 2.0 * KAPPA_A])])
@@ -265,6 +264,30 @@ class TestSweep:
         assert all(r.validity is not None for r in result.records)
         assert calls == [10]
 
+    def test_validity_with_a_pairing_is_at_the_forward_phase(self, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return derive_many(points)
+
+        monkeypatch.setattr(analysis, "derive_many", counted)
+        monkeypatch.setattr(model, "derive_many", counted)
+        # Base theta 3pi/2 is the backward phase, which loses stability at
+        # the top of the axis while the forward phase pi/2 stays stable.
+        driven = make_params(rabi=1.48e15, g_m=TWO_PI * 0.2, sphere_diameter=250e-6)
+        upsilons = list(np.linspace(0.2, 2.0, 10) * KAPPA_A)
+        result = sweep(
+            driven, [("upsilon", upsilons)], pairing=PhasePairing(np.pi / 2, 1.5 * np.pi),
+            kerr_coefficient=TWO_PI * 6.4e-9,
+        )
+        assert calls == [20]
+        records = result.records
+        assert records[-1].stable and records[-1].backward_stable is False
+        for record in records:
+            assert record.validity is not None
+            assert record.validity.stable == record.stable
+
     def test_validity_skipped_without_drive(self):
         result = sweep(make_params(), [("upsilon", [KAPPA_A])], kerr_coefficient=TWO_PI * 6.4e-9)
         assert result.records[0].validity is None
@@ -297,30 +320,46 @@ class TestSweep:
                 pairing=PhasePairing(np.pi / 2, 1.5 * np.pi),
             )
 
-    def test_rejects_unknown_measure_and_bad_threads(self):
+    def test_rejects_unknown_measure(self):
         with pytest.raises(ConfigError):
             sweep(make_params(), [("upsilon", [1.0])], measures=["E_xy"])
-        with pytest.raises(ConfigError):
-            sweep(make_params(), [("upsilon", [1.0])], threads=0)
+
+    def test_columns_need_no_per_point_objects(self, monkeypatch):
+        counts = {"SystemParams": 0, "DerivedQuantities": 0}
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                counts[cls.__name__] += 1
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        base = make_params()
+        counting(SystemParams)
+        counting(DerivedQuantities)
+        axes = [("upsilon", np.linspace(0.0, 2.0 * KAPPA_A, 31)),
+                ("theta", np.linspace(0.0, TWO_PI, 31))]
+        result = sweep(base, axes)
+        # One SystemParams per axis extreme, for the axis validation.
+        assert counts == {"SystemParams": 4, "DerivedQuantities": 0}
+        assert result.stable.shape == (31 * 31,) and result.measures.shape == (31 * 31, 4)
 
 
 def synthetic_temperature_result(values: list[float | None]) -> SweepResult:
     grid = np.linspace(0.001, 0.001 * len(values), len(values))
-    records = tuple(
-        SweepRecord(
-            axis_values=(float(t),),
-            stable=v is not None,
-            e_am=None, e_ab=None, e_mb=None, r_min=None,
-            c_am=v, c_ab=v, c_mb=v, c_r=v,
-            backward_stable=v is not None,
-        )
-        for t, v in zip(grid, values)
-    )
+    contrast = np.array([np.nan if v is None else v for v in values])
+    stable = ~np.isnan(contrast)
     return SweepResult(
         axes=(("temperature", grid),),
-        records=records,
         pairing=PhasePairing(0.0, np.pi),
         base=make_params(),
+        stable=stable,
+        failed=np.zeros(len(values), dtype=bool),
+        measures=np.full((len(values), 4), np.nan),
+        backward_stable=stable,
+        contrasts=np.repeat(contrast[:, None], 4, axis=1),
     )
 
 

@@ -14,6 +14,7 @@ from magsqueeze import cli
 from magsqueeze.tableio import read_csv
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_PARAMETERS = {
     "omega_a_over_2pi_hz": 10.0e9,
@@ -224,6 +225,12 @@ class TestSweep:
         cfg = write_config(tmp_path, tree)
         assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep_tree())
+        out_dir = tmp_path / "o"
+        assert cli.main(["sweep", "--config", cfg, "--output", str(out_dir), "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
     def test_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
         assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
@@ -309,3 +316,13 @@ class TestRepoConfigs:
 
         for path in sorted(REPO_CONFIGS.glob("*.yaml")):
             load_config(path)
+
+    def test_readme_config_example_builds(self):
+        from magsqueeze.config import build_run_config
+
+        blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        config = build_run_config(yaml.safe_load(blocks[0]))
+        assert config.sweep is not None and config.sweep.pairing is not None
+        assert config.wigner.points_per_axis == 101 and config.wigner.extent_sigmas == 6.0
+        assert config.kerr is not None
