@@ -77,8 +77,8 @@ IDEAL_CONTRAST: float = 0.99
 
 _CONTRAST_FLOOR: float = 1e-12
 
-# Operating points solved per batch; bounds the size of the (n, 36, 36)
-# Lyapunov systems held at once.
+# Operating points solved per batch; bounds the size of the (n, 21, 21)
+# Lyapunov systems and the partial-transpose stacks held at once.
 _CHUNK: int = 64
 
 

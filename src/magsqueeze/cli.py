@@ -117,11 +117,9 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str, threads: int) -> int:
+def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
     if config.sweep is None:
         raise ConfigError("the sweep command needs a sweep section in the config")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = _writable_dir(out_dir)
 
     spec = config.sweep
@@ -243,12 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         config = load_config(args.config, args.set)
         out_dir = Path(args.output)
         if args.command == "steady":
             return cmd_steady(config, out_dir, args.format)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, args.format, args.threads)
+            return cmd_sweep(config, out_dir, args.format)
         if args.command == "wigner":
             return cmd_wigner(config, out_dir, args.format)
         return cmd_validate(config)

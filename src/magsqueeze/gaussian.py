@@ -153,9 +153,9 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
 def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
     """Symplectic spectrum of a positive definite covariance matrix.
 
-    Returns the ``n`` symplectic eigenvalues sorted ascending.  They are
-    the moduli of the eigenvalues of the real matrix ``Omega V``, which
-    occur in pairs ``+/- i nu``; each pair is reported once.
+    Returns the ``n`` symplectic eigenvalues sorted ascending: the positive
+    eigenvalues of the Hermitian ``i L^T Omega L``, with ``V = L L^T`` the
+    Cholesky factorization (Williamson 1936; Serafini, Quantum Continuous Variables).
 
     Raises
     ------
@@ -168,11 +168,11 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
 
 
 def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Ascending symplectic spectra of a (..., 2n, 2n) stack, positive definiteness assumed."""
+    """Ascending symplectic spectra of a positive definite (..., 2n, 2n) stack, via Cholesky."""
     n = arr.shape[-1] // 2
-    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ arr)), axis=-1)
-    # Adjacent entries belong to one +/- pair; average out rounding noise.
-    return moduli.reshape(*arr.shape[:-2], n, 2).mean(axis=-1)
+    factor = np.linalg.cholesky(arr)
+    hermitian = 1j * (np.swapaxes(factor, -1, -2) @ symplectic_form(n) @ factor)
+    return np.linalg.eigvalsh(hermitian)[..., n:]
 
 
 def partial_transpose(v: CovarianceMatrix, party: Iterable[int]) -> CovarianceMatrix:
@@ -202,12 +202,6 @@ def _unphysical(min_eigenvalue: float) -> InvalidStateError:
     )
 
 
-def _validated_physical(v: CovarianceMatrix) -> None:
-    report = check_physicality(v)
-    if not report.is_physical:
-        raise _unphysical(report.min_eigenvalue)
-
-
 def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     """Logarithmic negativity across a 1|1 or 1|2 mode bipartition.
 
@@ -230,7 +224,9 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         raise InvalidInputError("partition must cover 2 or 3 modes in total")
     if min(len(partition.party_a), len(partition.party_b)) != 1:
         raise InvalidInputError("partition must be 1|1 or 1|2")
-    _validated_physical(v)
+    report = check_physicality(v)
+    if not report.is_physical:
+        raise _unphysical(report.min_eigenvalue)
 
     sub = v.restricted(modes)
     local_a = [modes.index(m) for m in partition.party_a]
@@ -341,21 +337,23 @@ def three_mode_measures(
 
     Batched equivalent of ``log_negativity`` on the three mode pairs plus
     ``min_residual_contangle``, from six negativities per state instead of
-    twelve and one physicality check.  The three 1|1 and the three 1|2
-    partial transposes are solved as (n, 3, 4, 4) and (n, 3, 6, 6) stacks.
+    twelve, and one physicality and one definiteness check.  The states that
+    pass both are factored as (n, 3, 4, 4) and (n, 3, 6, 6) partial transposes.
     Returns an (n, 4) array and, per state, None or the exception the
     scalar functions raise for it; the row of a failing state is NaN.
     """
     n = stack.shape[0]
-    pairs = stack[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
-    transposes = (pairs, stack[:, None] * _FOCUS_SIGNS)
-    definite = np.concatenate([np.linalg.eigvalsh(t)[..., 0] > 0.0 for t in transposes], axis=1)
-    nu = np.concatenate([_symplectic_spectra(t)[..., 0] for t in transposes], axis=1)
     floor = _uncertainty_floor(stack)
-    # Per state, the first failed check in the order the scalar functions test them.
-    verdicts = np.column_stack(
-        [~(floor >= -PHYSICALITY_TOL), ~definite.all(axis=1), ~(nu > 0.0).all(axis=1)]
+    # Each partial transpose is an orthogonal similarity of V or of a principal submatrix, so
+    # all six are positive definite iff V is; only states passing both checks are factored.
+    physical, definite = floor >= -PHYSICALITY_TOL, np.linalg.eigvalsh(stack)[:, 0] > 0.0
+    v, nu = stack[physical & definite], np.full((n, 6), np.nan)
+    pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
+    nu[physical & definite] = np.concatenate(
+        [_symplectic_spectra(t)[..., 0] for t in (pairs, v[:, None] * _FOCUS_SIGNS)], axis=1
     )
+    # Per state, the first failed check in the order the scalar functions test them.
+    verdicts = np.column_stack([~physical, ~definite, ~(nu > 0.0).all(axis=1)])
     failing = verdicts.any(axis=1)
     errors: list[MagsqueezeError | None] = [None] * n
     for k in np.flatnonzero(failing):

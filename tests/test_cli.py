@@ -305,6 +305,21 @@ class TestValidate:
         assert "drive" in capsys.readouterr().err
 
 
+class TestThreads:
+    @pytest.mark.parametrize(
+        "command, config",
+        [("steady", "default.yaml"), ("wigner", "wigner.yaml"), ("validate", "validate.yaml")],
+    )
+    def test_below_one_exits_2_before_any_output(self, tmp_path, capsys, command, config):
+        out_dir = tmp_path / "o"
+        argv = [command, "--config", str(REPO_CONFIGS / config), "--output", str(out_dir)]
+        assert cli.main(argv + ["--threads", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "threads must be >= 1, got 0" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+
 class TestRepoConfigs:
     def test_default_config_steady_runs(self, capsys):
         assert cli.main(["steady", "--config", str(REPO_CONFIGS / "default.yaml")]) == 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsqueeze import (
     CovarianceMatrix,
@@ -18,6 +20,7 @@ from magsqueeze import (
     solve_lyapunov,
     stability,
 )
+from magsqueeze.solver import steady_stack
 
 from conftest import TWO_PI, make_params
 
@@ -124,6 +127,86 @@ class TestSolveLyapunov:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             solve_lyapunov(-np.eye(2), np.eye(4))
+
+
+def kronecker_oracle(
+    gamma: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray | None, Exception | None]:
+    """Steady covariance from the d^2 unknowns of vec(V), with the verdicts of ``steady_stack``.
+
+    Row-major vectorization: vec(G V + V G^T) = (G kron I + I kron G) vec(V).
+    """
+    if not (np.isfinite(gamma).all() and np.isfinite(lam).all()):
+        return None, InvalidInputError("gamma and diffusion must have finite entries")
+    eigenvalues = np.linalg.eigvals(gamma)
+    top = eigenvalues.real.max()
+    if not top < -1e-12 * np.abs(eigenvalues).max():
+        message = f"drift matrix is not stable (max eigenvalue real part {top:.6e})"
+        return None, NoSteadyStateError(message)
+    d = gamma.shape[0]
+    eye = np.eye(d)
+    v = np.linalg.solve(np.kron(gamma, eye) + np.kron(eye, gamma), -lam.ravel()).reshape(d, d)
+    return 0.5 * (v + v.T), None
+
+
+def drawn_system(rng: np.random.Generator, d: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A random drift and positive definite diffusion, scaled over many decades.
+
+    The drift is stable unless ``kind`` is "unstable"; "nan_gamma" and
+    "inf_diffusion" put one non-finite entry into the drift or diffusion.
+    """
+    a = rng.normal(size=(d, d))
+    top = np.linalg.eigvals(a).real.max()
+    margin = -rng.uniform(0.1, 1.0) if kind == "unstable" else rng.uniform(0.1, 2.0)
+    gamma = (a - (top + margin) * np.eye(d)) * 10.0 ** rng.uniform(-3.0, 8.0)
+    b = rng.normal(size=(d, d))
+    lam = (b @ b.T + 0.1 * np.eye(d)) * 10.0 ** rng.uniform(-3.0, 8.0)
+    i, j = rng.integers(d, size=2)
+    if kind == "nan_gamma":
+        gamma[i, j] = np.nan
+    elif kind == "inf_diffusion":
+        lam[i, j] = np.inf
+    return gamma, lam
+
+
+def assert_stack_matches_oracle(gammas: np.ndarray, lams: np.ndarray) -> None:
+    stack = steady_stack(gammas, lams)
+    for g, lam, v, error in zip(gammas, lams, stack.covariances, stack.errors):
+        want, want_error = kronecker_oracle(g, lam)
+        assert type(error) is type(want_error)
+        assert str(error) == str(want_error)
+        if want is None:
+            continue
+        np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        residual = np.linalg.norm(g @ v + v @ g.T + lam) / np.linalg.norm(lam)
+        assert residual <= 1e-10
+
+
+class TestSteadyStack:
+    """The symmetric-subspace solve against the d^2-unknown Kronecker solve."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 4, 6]), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_stable_stacks_match_kronecker_solve(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        gammas, lams = zip(*(drawn_system(rng, d, "stable") for _ in range(n)))
+        assert_stack_matches_oracle(np.array(gammas), np.array(lams))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 4, 6]),
+        st.lists(st.sampled_from(["stable", "unstable", "nan_gamma", "inf_diffusion"]),
+                 min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_stacks_give_the_oracle_verdicts(self, d, kinds, seed):
+        rng = np.random.default_rng(seed)
+        gammas, lams = zip(*(drawn_system(rng, d, kind) for kind in kinds))
+        assert_stack_matches_oracle(np.array(gammas), np.array(lams))
+
+    def test_working_point_matches_kronecker_solve(self):
+        params = make_params()
+        assert_stack_matches_oracle(build_drift(params)[None], build_diffusion(params)[None])
 
 
 class TestEvolveCovariance:

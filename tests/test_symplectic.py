@@ -33,7 +33,7 @@ from magsqueeze import gaussian
 from magsqueeze.config import load_config
 from magsqueeze.gaussian import _symplectic_spectra, three_mode_measures
 
-from conftest import KAPPA_A, make_params
+from conftest import KAPPA_A, TWO_PI, make_params
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -119,6 +119,38 @@ def test_fig6a_states_match_exact_spectra():
     states = config_states("fig6a.yaml", {"temperature": [0, 99, 199, 299]})
     assert len(states) == 8
     assert_spectra_match_exact(states)
+
+
+def conditioning(v: CovarianceMatrix) -> float:
+    """Largest ||W|| / nu_min over the six partial transposes W of ``v``."""
+    return max(
+        float(np.linalg.norm(w) / symplectic_eigenvalues(CovarianceMatrix(w))[0])
+        for w in transposes(v)
+    )
+
+
+def test_ill_conditioned_states_match_exact_spectra():
+    # The bundled states above have ||W|| / nu_min below 5, fig6a's hottest
+    # point included.  A 30 K bath, weak couplings and squeezing close to the
+    # stability edge at theta = pi/2 give above 1e3, where a spectrum read off
+    # a Cholesky factor loses the most digits.
+    points = [
+        make_params(temperature=30.0, upsilon=upsilon * KAPPA_A, theta=np.pi / 2,
+                    g_a=0.2 * TWO_PI * 4.8e6, G_m=0.02 * TWO_PI * 4.8e6)
+        for upsilon in (3.15, 3.25, 3.3)
+    ]
+    evaluation = evaluate(points, with_measures=False)
+    assert evaluation.errors == [None] * len(points)
+    states = [CovarianceMatrix(c) for c in evaluation.covariances]
+    assert min(conditioning(v) for v in states) > 1e3
+    assert_spectra_match_exact(states)
+
+
+def test_scalar_spectrum_is_the_batch_of_one():
+    states = config_states("fig2.yaml", {"upsilon": [10, 30], "theta": [0, 20]})
+    for w in (t for v in states for t in transposes(v)):
+        scalar = symplectic_eigenvalues(CovarianceMatrix(w))
+        assert np.array_equal(scalar, _symplectic_spectra(w[None])[0])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
