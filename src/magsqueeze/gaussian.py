@@ -160,15 +160,26 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
     Raises
     ------
     InvalidInputError
-        If ``v`` is not positive definite.
+        If ``v`` is not positive definite, or too ill-conditioned (near
+        1/eps) for its Cholesky factorization to succeed.
     """
     if float(np.linalg.eigvalsh(v.data)[0]) <= 0.0:
-        raise InvalidInputError("symplectic spectrum requires a positive definite matrix")
-    return _symplectic_spectra(v.data)
+        raise _not_definite()
+    try:
+        return _symplectic_spectra(v.data)
+    except np.linalg.LinAlgError:
+        raise _not_definite() from None
+
+
+def _not_definite() -> InvalidInputError:
+    return InvalidInputError("symplectic spectrum requires a positive definite matrix")
 
 
 def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Ascending symplectic spectra of a positive definite (..., 2n, 2n) stack, via Cholesky."""
+    """Ascending symplectic spectra of a positive definite (..., 2n, 2n) stack, via Cholesky.
+
+    Raises numpy's ``LinAlgError`` if a factorization fails (possible near 1/eps conditioning).
+    """
     n = arr.shape[-1] // 2
     factor = np.linalg.cholesky(arr)
     hermitian = 1j * (np.swapaxes(factor, -1, -2) @ symplectic_form(n) @ factor)
@@ -330,6 +341,14 @@ _PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 _FOCUS_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
 
 
+def _transposed_minima(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Smallest symplectic eigenvalue of the six partial transposes of each (m, 6, 6) state."""
+    pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
+    return np.concatenate(
+        [_symplectic_spectra(t)[..., 0] for t in (pairs, v[:, None] * _FOCUS_SIGNS)], axis=1
+    )
+
+
 def three_mode_measures(
     stack: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], tuple[MagsqueezeError | None, ...]]:
@@ -347,11 +366,18 @@ def three_mode_measures(
     # Each partial transpose is an orthogonal similarity of V or of a principal submatrix, so
     # all six are positive definite iff V is; only states passing both checks are factored.
     physical, definite = floor >= -PHYSICALITY_TOL, np.linalg.eigvalsh(stack)[:, 0] > 0.0
-    v, nu = stack[physical & definite], np.full((n, 6), np.nan)
-    pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
-    nu[physical & definite] = np.concatenate(
-        [_symplectic_spectra(t)[..., 0] for t in (pairs, v[:, None] * _FOCUS_SIGNS)], axis=1
-    )
+    nu = np.full((n, 6), np.nan)
+    factored = physical & definite
+    try:
+        nu[factored] = _transposed_minima(stack[factored])
+    except np.linalg.LinAlgError:
+        # A state conditioned near 1/eps can pass eigvalsh and still fail Cholesky: factor
+        # state by state, and give a failing one the verdict of a failed definiteness check.
+        for k in np.flatnonzero(factored):
+            try:
+                nu[k] = _transposed_minima(stack[k : k + 1])[0]
+            except np.linalg.LinAlgError:
+                definite[k] = False
     # Per state, the first failed check in the order the scalar functions test them.
     verdicts = np.column_stack([~physical, ~definite, ~(nu > 0.0).all(axis=1)])
     failing = verdicts.any(axis=1)
@@ -360,7 +386,7 @@ def three_mode_measures(
         first = verdicts[k].argmax()
         errors[k] = (
             _unphysical(float(floor[k])) if first == 0
-            else InvalidInputError("symplectic spectrum requires a positive definite matrix")
+            else _not_definite()
             if first == 1
             else InvalidStateError("partial transpose produced a non-positive spectrum")
         )

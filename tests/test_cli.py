@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +20,7 @@ from magsqueeze.tableio import read_csv
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 BASE_PARAMETERS = {
     "omega_a_over_2pi_hz": 10.0e9,
@@ -341,3 +347,75 @@ class TestRepoConfigs:
         assert config.sweep is not None and config.sweep.pairing is not None
         assert config.wigner.points_per_axis == 101 and config.wigner.extent_sigmas == 6.0
         assert config.kerr is not None
+
+
+def yaml_documents() -> list[tuple[str, str]]:
+    """(name, text) of every bundled config, the README example and the benchmark inputs."""
+    docs = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(REPO_CONFIGS.glob("*.yaml"))]
+    readme = README.read_text(encoding="utf-8")
+    docs += [("README", block) for block in re.findall(r"```yaml\n(.*?)```", readme, re.S)]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    for name in sorted(workloads.WORKLOADS):
+        for seed in range(21):
+            tree = workloads.generate(name, seed).config
+            docs.append((f"{name} seed {seed}", yaml.safe_dump(tree, sort_keys=False)))
+    return docs
+
+
+class TestYamlLoader:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self):
+        from magsqueeze.config import _YAML_LOADER
+
+        assert _YAML_LOADER is yaml.CSafeLoader
+        for name, text in yaml_documents():
+            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert fast == yaml.load(text, Loader=yaml.SafeLoader), name
+            assert fast["parameters"], name
+
+    def test_malformed_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("parameters: {omega_a_over_2pi_hz: [10.0e9\n", encoding="utf-8")
+        assert cli.main(["steady", "--config", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    def test_malformed_override_value_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
+        assert cli.main(["steady", "--config", cfg, "--set", "upsilon_over_2pi_hz=[1, 2"]) == 2
+        assert "cannot parse override value" in capsys.readouterr().err
+
+
+class TestProcessEntry:
+    def test_main_freezes_the_heap_alive_at_entry(self, tmp_path):
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
+        script = (
+            "import gc, sys\n"
+            "from magsqueeze import cli\n"
+            "before = gc.get_freeze_count()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, before, gc.get_freeze_count(), file=sys.stderr)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "steady", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        code, before, after = (int(x) for x in done.stderr.split())
+        assert code == 0
+        assert after > before
+
+    def test_library_calls_leave_the_collector_alone(self, params_factory):
+        from magsqueeze.analysis import evaluate, sweep
+        from magsqueeze.config import load_config
+
+        # Earlier cli.main calls in this process froze their heap, and frozen objects
+        # freed since then lower the count; start from an empty permanent generation.
+        gc.unfreeze()
+        load_config(REPO_CONFIGS / "default.yaml")
+        evaluate([params_factory()])
+        sweep(params_factory(), axes=[("upsilon", np.linspace(0.0, 2.0e7, 3))])
+        assert gc.get_freeze_count() == 0

@@ -214,3 +214,43 @@ def test_non_positive_spectrum_verdict_matches_the_scalar_path(monkeypatch):
     assert isinstance(errors[0], InvalidStateError) and "non-positive" in str(errors[0])
     assert "uncertainty bound" in str(errors[1])
     assert isinstance(errors[2], InvalidInputError)
+
+
+def squeezed_beside_vacua(rng: np.random.Generator) -> np.ndarray:
+    """Mode 0 squeezed by s = 10^U(6, 9) along a random angle; modes 1 and 2 in vacuum."""
+    s = 10.0 ** rng.uniform(6.0, 9.0)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    rotation = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    v = 0.5 * np.eye(6)
+    v[:2, :2] = rotation @ np.diag([s / 2.0, 1.0 / (2.0 * s)]) @ rotation.T
+    return 0.5 * (v + v.T)
+
+
+def fails_cholesky(v: np.ndarray) -> bool:
+    try:
+        for w in transposes(CovarianceMatrix(v)):
+            np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def test_failed_factorization_of_a_definite_state_is_a_verdict():
+    # Near 1/eps conditioning, eigvalsh can find a state physical and positive
+    # definite while Cholesky fails on one of its partial transposes.
+    rng = np.random.default_rng(0)
+    stack = np.array([squeezed_beside_vacua(rng) for _ in range(400)])
+    physical = gaussian._uncertainty_floor(stack) >= -gaussian.PHYSICALITY_TOL
+    definite = np.linalg.eigvalsh(stack)[:, 0] > 0.0
+    reached = [k for k in np.flatnonzero(physical & definite) if fails_cholesky(stack[k])]
+    assert len(reached) >= 10
+    errors = assert_verdicts_match_scalar(stack)
+    for k in reached:
+        assert isinstance(errors[k], InvalidInputError)
+        assert str(errors[k]) == "symplectic spectrum requires a positive definite matrix"
+    # The states that pass get the values the stacked factorization gives them.
+    measures, _ = three_mode_measures(stack)
+    passing = [k for k, error in enumerate(errors) if error is None]
+    alone, alone_errors = three_mode_measures(stack[passing])
+    assert alone_errors == (None,) * len(passing)
+    assert np.array_equal(measures[passing], alone)
