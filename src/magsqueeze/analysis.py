@@ -23,11 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    OK,
+    UNSTABLE,
     ConfigError,
     InvalidInputError,
-    MagsqueezeError,
     NoMeasuresError,
-    NoSteadyStateError,
+    verdict_error,
 )
 from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
 from .model import (
@@ -236,17 +237,18 @@ class Evaluation:
 
     ``max_real_part`` is the largest real part of each drift spectrum and
     ``covariances`` the (n, 6, 6) Lyapunov solutions, both NaN where they
-    could not be formed.  ``errors[k]`` is None for a stable point,
-    ``NoSteadyStateError`` for an unstable one and otherwise the exception
-    the scalar path raises for it.  ``measures`` holds E_am, E_ab, E_mb and
-    R_min per row, NaN unless the point is stable.  ``derived`` is
-    ``derive_many(points)``.
+    could not be formed.  ``code`` (0 for a stable point) and ``value`` are
+    the verdict of the first stage that fails each point, so
+    ``errors.verdict_error(code[k], value[k])`` is the exception the scalar
+    path raises for it.  ``measures`` holds E_am, E_ab, E_mb and R_min per
+    row, NaN unless the point is stable.  ``derived`` is ``derive_many(points)``.
     """
 
     max_real_part: np.ndarray
     covariances: np.ndarray
     measures: np.ndarray
-    errors: list[MagsqueezeError | None]
+    code: np.ndarray
+    value: np.ndarray
     derived: DerivedColumns
 
 
@@ -266,34 +268,25 @@ def evaluate(
     measures = np.full((n, 4), np.nan)
     derived = derive_many(columns)
     gammas, diffusions = drift_stack(columns, derived), diffusion_stack(columns)
-    errors: list[MagsqueezeError | None] = [derived.exception(k) for k in range(n)]
+    code, value = derived.code.copy(), np.full(n, np.nan)
     for start in range(0, n, _CHUNK):
-        solved = start + np.flatnonzero(derived.error[start:start + _CHUNK] == 0)
+        solved = start + np.flatnonzero(code[start:start + _CHUNK] == OK)
         if not solved.size:
             continue
-        stack = steady_stack(gammas[solved], diffusions[solved])
-        max_real[solved] = stack.max_real_part
-        covariances[solved] = stack.covariances
-        for k, error in zip(solved, stack.errors):
-            errors[k] = error
-        steady = [k for k in solved if errors[k] is None]
-        if with_measures and steady:
-            measures[steady], measure_errors = three_mode_measures(covariances[steady])
-            for k, error in zip(steady, measure_errors):
-                errors[k] = error
-    return Evaluation(max_real, covariances, measures, errors, derived)
-
-
-def _failed(error: MagsqueezeError | None) -> bool:
-    """An error other than plain instability: the point has no verdict."""
-    return error is not None and not isinstance(error, NoSteadyStateError)
+        max_real[solved], covariances[solved], code[solved], value[solved] = steady_stack(
+            gammas[solved], diffusions[solved]
+        )
+        steady = solved[code[solved] == OK]
+        if with_measures and steady.size:
+            measures[steady], code[steady], value[steady] = three_mode_measures(covariances[steady])
+    return Evaluation(max_real, covariances, measures, code, value, derived)
 
 
 def steady_state(params: SystemParams) -> CovarianceMatrix:
     """Steady covariance matrix at one operating point (drift must be stable)."""
     evaluation = evaluate([params], with_measures=False)
-    if evaluation.errors[0] is not None:
-        raise evaluation.errors[0]
+    if evaluation.code[0]:
+        raise verdict_error(evaluation.code[0], evaluation.value[0])
     return CovarianceMatrix(evaluation.covariances[0])
 
 
@@ -336,8 +329,9 @@ def _directions(
         swept["theta"] = np.tile([pairing.theta_forward, pairing.theta_backward], n)
     base_values = ParamColumns.gather([base]).values
     evaluation = evaluate(ParamColumns(n * phases, {**base_values, **swept}))
-    steady = np.array([e is None for e in evaluation.errors]).reshape(n, phases)
-    failed = np.array([_failed(e) for e in evaluation.errors]).reshape(n, phases).any(axis=1)
+    steady = (evaluation.code == OK).reshape(n, phases)
+    # A point fails where any of its phases has a verdict other than ok or unstable.
+    failed = np.isin(evaluation.code, (OK, UNSTABLE), invert=True).reshape(n, phases).any(axis=1)
     if pairing is None:
         return evaluation, steady, failed, None
     # A phase with no steady state carries no steady entanglement.
@@ -351,9 +345,9 @@ def directional_measures(params: SystemParams, pairing: PhasePairing) -> Contras
     Raises ``NoMeasuresError`` when neither phase admits a steady state.
     """
     evaluation, steady, _, contrasts = _directions(params, {}, 1, pairing)
-    for error in evaluation.errors:
-        if _failed(error):
-            raise error
+    for code, value in zip(evaluation.code, evaluation.value):
+        if code not in (OK, UNSTABLE):
+            raise verdict_error(code, value)
     if not steady.any():
         raise NoMeasuresError(
             "neither phase setting of the pairing admits a steady state"
@@ -389,10 +383,8 @@ def _validate_axes(
         grid = np.asarray(list(values), dtype=np.float64)
         if grid.ndim != 1 or grid.size < 1:
             raise ConfigError(f"axis {name!r} must be a non-empty 1-D grid")
-        if not np.all(np.isfinite(grid)):
-            raise ConfigError(f"axis {name!r} contains non-finite values")
         # Every SystemParams check is a sign, finiteness or None-pattern check,
-        # so the extreme values stand for the whole axis.
+        # so the extreme values (NaN if any value is) stand for the whole axis.
         try:
             for value in {grid.min(), grid.max()}:
                 replace(params_base, **{name: float(value)})

@@ -16,6 +16,7 @@ from . import __version__
 from .analysis import CONTRASTS, evaluate, steady_state, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
+    UNSTABLE,
     ConfigError,
     InvalidInputError,
     MagsqueezeError,
@@ -23,6 +24,7 @@ from .errors import (
     NoSteadyStateError,
     NumericalError,
     ParametricResonanceError,
+    verdict_error,
 )
 from .gaussian import wigner_single_mode
 from .model import ValidityReport, rabi_frequency, total_spins, validity_report
@@ -90,13 +92,13 @@ def _print_validity(config: RunConfig) -> ValidityReport | None:
 
 def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
     evaluation = evaluate([config.params])
-    max_real, error = float(evaluation.max_real_part[0]), evaluation.errors[0]
-    if isinstance(error, NoSteadyStateError):
+    max_real, code = float(evaluation.max_real_part[0]), evaluation.code[0]
+    if code == UNSTABLE:
         raise NoSteadyStateError(
             f"no steady state: max drift eigenvalue real part = {_fmt(max_real)} rad/s"
         )
-    if error is not None:
-        raise error
+    if code:
+        raise verdict_error(code, evaluation.value[0])
     e_am, e_ab, e_mb, r_min = (float(x) for x in evaluation.measures[0])
 
     print(f"stability: stable (max Re eigenvalue = {_fmt(max_real)} rad/s)")

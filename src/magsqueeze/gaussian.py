@@ -18,7 +18,17 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, InvalidStateError, MagsqueezeError
+from .errors import (
+    CONDITION_BOUND,
+    ILL_CONDITIONED,
+    NON_POSITIVE_SPECTRUM,
+    NOT_DEFINITE,
+    OK,
+    UNPHYSICAL,
+    InvalidInputError,
+    InvalidStateError,
+    verdict_error,
+)
 
 __all__ = [
     "CovarianceMatrix",
@@ -164,21 +174,18 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
         1/eps) for its Cholesky factorization to succeed.
     """
     if float(np.linalg.eigvalsh(v.data)[0]) <= 0.0:
-        raise _not_definite()
+        raise verdict_error(NOT_DEFINITE)
     try:
         return _symplectic_spectra(v.data)
     except np.linalg.LinAlgError:
-        raise _not_definite() from None
-
-
-def _not_definite() -> InvalidInputError:
-    return InvalidInputError("symplectic spectrum requires a positive definite matrix")
+        raise verdict_error(NOT_DEFINITE) from None
 
 
 def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     """Ascending symplectic spectra of a positive definite (..., 2n, 2n) stack, via Cholesky.
 
-    Raises numpy's ``LinAlgError`` if a factorization fails (possible near 1/eps conditioning).
+    Raises numpy's ``LinAlgError`` if a factorization fails (possible near 1/eps
+    conditioning, far above ``CONDITION_BOUND``).
     """
     n = arr.shape[-1] // 2
     factor = np.linalg.cholesky(arr)
@@ -206,13 +213,6 @@ def partial_transpose(v: CovarianceMatrix, party: Iterable[int]) -> CovarianceMa
     return CovarianceMatrix(p @ v.data @ p)
 
 
-def _unphysical(min_eigenvalue: float) -> InvalidStateError:
-    return InvalidStateError(
-        "covariance matrix violates the uncertainty bound "
-        f"(min eigenvalue of V + (i/2) Omega is {min_eigenvalue:.3e})"
-    )
-
-
 def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     """Logarithmic negativity across a 1|1 or 1|2 mode bipartition.
 
@@ -224,6 +224,9 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     ------
     InvalidStateError
         If ``v`` is unphysical.
+    NumericalError
+        If ``v`` is positive definite with a condition number above 1e7,
+        where rounding alone gives a product state a negativity above 1e-9.
     InvalidInputError
         If the partition does not cover exactly 2 or 3 modes with at least
         one party being a single mode.
@@ -237,13 +240,16 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         raise InvalidInputError("partition must be 1|1 or 1|2")
     report = check_physicality(v)
     if not report.is_physical:
-        raise _unphysical(report.min_eigenvalue)
+        raise verdict_error(UNPHYSICAL, report.min_eigenvalue)
+    spectrum = np.linalg.eigvalsh(v.data)
+    if spectrum[0] > 0.0 and not spectrum[-1] / spectrum[0] <= CONDITION_BOUND:
+        raise verdict_error(ILL_CONDITIONED, spectrum[-1] / spectrum[0])
 
     sub = v.restricted(modes)
     local_a = [modes.index(m) for m in partition.party_a]
     nu_min = float(symplectic_eigenvalues(partial_transpose(sub, local_a))[0])
     if nu_min <= 0.0:
-        raise InvalidStateError("partial transpose produced a non-positive spectrum")
+        raise verdict_error(NON_POSITIVE_SPECTRUM)
     return max(0.0, -float(np.log(2.0 * nu_min)))
 
 
@@ -341,55 +347,39 @@ _PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 _FOCUS_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
 
 
-def _transposed_minima(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Smallest symplectic eigenvalue of the six partial transposes of each (m, 6, 6) state."""
-    pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
-    return np.concatenate(
-        [_symplectic_spectra(t)[..., 0] for t in (pairs, v[:, None] * _FOCUS_SIGNS)], axis=1
-    )
-
-
 def three_mode_measures(
     stack: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], tuple[MagsqueezeError | None, ...]]:
+) -> tuple[NDArray[np.float64], NDArray[np.int8], NDArray[np.float64]]:
     """``E(0|1)``, ``E(0|2)``, ``E(1|2)`` and the minimum residual tangle of (n, 6, 6) states.
 
     Batched equivalent of ``log_negativity`` on the three mode pairs plus
     ``min_residual_contangle``, from six negativities per state instead of
-    twelve, and one physicality and one definiteness check.  The states that
-    pass both are factored as (n, 3, 4, 4) and (n, 3, 6, 6) partial transposes.
-    Returns an (n, 4) array and, per state, None or the exception the
-    scalar functions raise for it; the row of a failing state is NaN.
+    twelve, and one physicality, definiteness and conditioning check.  The
+    states that pass all three are factored as (n, 3, 4, 4) and (n, 3, 6, 6)
+    partial transposes.  Returns an (n, 4) array, NaN in the row of a failing
+    state, and per state the verdict code (``errors.VERDICTS``: unphysical,
+    not_definite, ill_conditioned or non_positive_spectrum, the first that
+    fails) and the float its message quotes (the condition number where
+    ill-conditioned, else the uncertainty floor).
     """
-    n = stack.shape[0]
     floor = _uncertainty_floor(stack)
+    spectrum = np.linalg.eigvalsh(stack)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = spectrum[:, -1] / spectrum[:, 0]
     # Each partial transpose is an orthogonal similarity of V or of a principal submatrix, so
-    # all six are positive definite iff V is; only states passing both checks are factored.
-    physical, definite = floor >= -PHYSICALITY_TOL, np.linalg.eigvalsh(stack)[:, 0] > 0.0
-    nu = np.full((n, 6), np.nan)
-    factored = physical & definite
-    try:
-        nu[factored] = _transposed_minima(stack[factored])
-    except np.linalg.LinAlgError:
-        # A state conditioned near 1/eps can pass eigvalsh and still fail Cholesky: factor
-        # state by state, and give a failing one the verdict of a failed definiteness check.
-        for k in np.flatnonzero(factored):
-            try:
-                nu[k] = _transposed_minima(stack[k : k + 1])[0]
-            except np.linalg.LinAlgError:
-                definite[k] = False
-    # Per state, the first failed check in the order the scalar functions test them.
-    verdicts = np.column_stack([~physical, ~definite, ~(nu > 0.0).all(axis=1)])
-    failing = verdicts.any(axis=1)
-    errors: list[MagsqueezeError | None] = [None] * n
-    for k in np.flatnonzero(failing):
-        first = verdicts[k].argmax()
-        errors[k] = (
-            _unphysical(float(floor[k])) if first == 0
-            else _not_definite()
-            if first == 1
-            else InvalidStateError("partial transpose produced a non-positive spectrum")
-        )
+    # all six are positive definite iff V is, and no worse conditioned than V; below the
+    # bound their Cholesky factorizations succeed (Higham, Accuracy and Stability, Thm 10.7).
+    code = np.select(
+        [~(floor >= -PHYSICALITY_TOL), ~(spectrum[:, 0] > 0.0), ~(condition <= CONDITION_BOUND)],
+        [UNPHYSICAL, NOT_DEFINITE, ILL_CONDITIONED], OK,
+    ).astype(np.int8)
+    factored = code == OK
+    v, nu = stack[factored], np.full((stack.shape[0], 6), np.nan)
+    pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
+    nu[factored] = np.concatenate(
+        [_symplectic_spectra(t)[..., 0] for t in (pairs, v[:, None] * _FOCUS_SIGNS)], axis=1
+    )
+    code[factored & ~(nu > 0.0).all(axis=1)] = NON_POSITIVE_SPECTRUM
     with np.errstate(invalid="ignore", divide="ignore"):
         negativities = np.maximum(0.0, -np.log(2.0 * nu))
         tangles = negativities**2
@@ -398,5 +388,5 @@ def three_mode_measures(
             for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))
         ]
     out = np.column_stack([negativities[:, :3], np.maximum(0.0, np.minimum.reduce(residuals))])
-    out[failing] = np.nan
-    return out, tuple(errors)
+    out[code != OK] = np.nan
+    return out, code, np.where(code == ILL_CONDITIONED, condition, floor)

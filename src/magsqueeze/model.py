@@ -20,7 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, ParametricResonanceError
+from .errors import (
+    NO_FIXED_POINT,
+    RESONANCE,
+    InvalidInputError,
+    ParametricResonanceError,
+    verdict_error,
+)
 
 __all__ = [
     "SystemParams",
@@ -53,14 +59,6 @@ _SHIFT_RTOL: float = 1e-9
 
 # Relative floor below which the drive denominator counts as singular.
 _DENOMINATOR_RTOL: float = 1e-6
-# Error codes of ``derive_many``: 0 where a point derives, otherwise the
-# index of its ``ParametricResonanceError`` message in ``_FAILURES``.
-_RESONANCE, _NO_FIXED_POINT = 1, 2
-_FAILURES = (
-    "",
-    "steady amplitude denominator vanishes: the two-magnon drive is at parametric resonance",
-    "self-consistent magnon detuning has no fixed point below the bare detuning",
-)
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class SystemParams:
     forms must be used.  The magnomechanical coupling is either the
     effective ``G_m`` directly or the bare ``g_m`` (combined with a drive
     amplitude so the steady magnon amplitude can be formed).  ``theta`` is
-    normalized into [0, 2pi) at construction.
+    normalized into [0, 2pi) at construction.  Every set value must be finite.
     """
 
     omega_a: float
@@ -99,17 +97,21 @@ class SystemParams:
     gyromagnetic_ratio: float = TWO_PI * 28e9
 
     def __post_init__(self) -> None:
-        for name in ("omega_a", "omega_m", "omega_b"):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite")
+        for name in ("omega_a", "omega_m", "omega_b",
+                     "spin_density", "spin_s", "gyromagnetic_ratio"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive")
         for name in ("kappa_a", "kappa_m", "gamma_b"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive (dissipation required)")
-        for name in ("g_a", "upsilon", "temperature"):
-            if getattr(self, name) < 0.0:
+        for name in ("g_a", "upsilon", "temperature",
+                     "G_m", "g_m", "rabi", "h_d", "sphere_diameter"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
                 raise InvalidInputError(f"{name} must be non-negative")
-        if not math.isfinite(self.theta):
-            raise InvalidInputError("theta must be finite")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
         have_deltas = self.delta_a is not None or self.delta_m is not None
@@ -121,13 +123,6 @@ class SystemParams:
             )
         if self.G_m is None and self.g_m is None:
             raise InvalidInputError("a magnomechanical coupling (G_m or g_m) is required")
-        for name in ("G_m", "g_m", "rabi", "h_d", "sphere_diameter"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise InvalidInputError(f"{name} must be non-negative")
-        for name in ("spin_density", "spin_s", "gyromagnetic_ratio"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidInputError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -327,12 +322,12 @@ def _brentq(
 
 
 def _self_consistent_shift(
-    c: dict[str, NDArray], idx: NDArray, delta_bar: NDArray, m_s: NDArray, error: NDArray
+    c: dict[str, NDArray], idx: NDArray, delta_bar: NDArray, m_s: NDArray, code: NDArray
 ) -> None:
     """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
 
     Writes the solutions into ``delta_bar`` (bare detunings on entry) and
-    ``m_s``, and the error codes of the points without one into ``error``.
+    ``m_s``, and the verdict codes of the points without one into ``code``.
     """
 
     def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
@@ -359,7 +354,7 @@ def _self_consistent_shift(
         idx = idx[~(pole | done)]
         if idx.size == 0:
             break
-    error[on_pole[0]] = _RESONANCE
+    code[on_pole[0]] = RESONANCE
     idx = np.concatenate([idx, *on_pole[1:]])
 
     # Plain iteration cycles once the backaction shift exceeds the magnon
@@ -378,14 +373,14 @@ def _self_consistent_shift(
         lo = hi - step
         f_lo = residual(lo, idx)
     found = f_lo < 0.0
-    error[idx[~found]] = _NO_FIXED_POINT
+    code[idx[~found]] = NO_FIXED_POINT
     idx, lo, hi, f_lo, f_hi = idx[found], lo[found], hi[found], f_lo[found], f_hi[found]
     xtol = 1e-12 * np.maximum(1.0, np.abs(hi))
     root = _brentq(lambda x: residual(x, idx), lo, hi, f_lo, f_hi, xtol)
-    error[idx[np.isnan(root)]] = _NO_FIXED_POINT
+    code[idx[np.isnan(root)]] = NO_FIXED_POINT
     idx, root = idx[~np.isnan(root)], root[~np.isnan(root)]
     delta_bar[idx], m_s[idx], pole = shifted(root, idx)
-    error[idx[pole]] = _RESONANCE
+    code[idx[pole]] = RESONANCE
 
 
 @dataclass(frozen=True)
@@ -393,17 +388,13 @@ class DerivedColumns:
     """Per-point results of ``derive_many``.
 
     ``delta_m_bar`` is the effective magnon detuning and ``m_s`` the steady
-    magnon amplitude, NaN without a drive.  ``error`` is 0 where a point
-    derived and otherwise the code of its ``ParametricResonanceError``.
+    magnon amplitude, NaN without a drive.  ``code`` is 0 where a point
+    derived, otherwise its verdict code: resonance or no_fixed_point.
     """
 
     delta_m_bar: NDArray[np.float64]
     m_s: NDArray[np.complex128]
-    error: NDArray[np.int8]
-
-    def exception(self, k: int) -> ParametricResonanceError | None:
-        """The error of point ``k``; None where it derived."""
-        return ParametricResonanceError(_FAILURES[self.error[k]]) if self.error[k] else None
+    code: NDArray[np.int8]
 
 
 def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns:
@@ -411,7 +402,7 @@ def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns
     points, with one batched self-consistent shift.
 
     A point at parametric resonance, or whose shift has no fixed point, gets
-    the error code of the ``ParametricResonanceError`` ``derive`` raises for it.
+    the verdict code of the ``ParametricResonanceError`` ``derive`` raises for it.
     """
     columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
     c = {name: columns[name] for name in ("kappa_a", "delta_a", "kappa_m", "delta_m", "omega_b")}
@@ -427,22 +418,22 @@ def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns
     shift = driven & ~np.isnan(columns["omega_0"]) & ~np.isnan(columns["g_m"])
     delta_bar = c["delta_m"].copy()
     m_s = np.full(len(columns), np.nan, dtype=complex)
-    error = np.zeros(len(columns), dtype=np.int8)
+    code = np.zeros(len(columns), dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Direct detunings, or a direct G_m, leave the detuning unshifted.
         direct = np.flatnonzero(driven & ~shift)
         m_s[direct], pole = _steady_amplitude(c, direct, delta_bar[direct])
-        error[direct[pole]] = _RESONANCE
-        _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, error)
-    return DerivedColumns(delta_bar, m_s, error)
+        code[direct[pole]] = RESONANCE
+        _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, code)
+    return DerivedColumns(delta_bar, m_s, code)
 
 
 def _one(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
     """The columns and derivation of one point; raises its ``ParametricResonanceError``."""
     columns = ParamColumns.gather([params])
     derived = derive_many(columns)
-    if derived.error[0]:
-        raise derived.exception(0)
+    if derived.code[0]:
+        raise verdict_error(derived.code[0])
     return columns, derived
 
 

@@ -17,23 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, MagsqueezeError, NoSteadyStateError, NumericalError
+from .errors import (
+    NON_FINITE,
+    OK,
+    RESIDUAL,
+    RESIDUAL_BOUND,
+    UNSTABLE,
+    InvalidInputError,
+    NumericalError,
+    verdict_error,
+)
 from .gaussian import CovarianceMatrix
 
 __all__ = [
     "StabilityReport",
     "stability",
     "solve_lyapunov",
-    "SteadyStack",
     "steady_stack",
     "evolve_covariance",
 ]
 
 # is_stable requires max Re(eig) below -STABILITY_MARGIN times the spectral radius.
 STABILITY_MARGIN: float = 1e-12
-
-# Relative Frobenius residual accepted from a Lyapunov solve.
-RESIDUAL_BOUND: float = 1e-10
 
 _BLOWUP_FACTOR: float = 1e12
 
@@ -78,21 +83,6 @@ def stability(gamma: NDArray[np.float64]) -> StabilityReport:
     )
 
 
-@dataclass(frozen=True)
-class SteadyStack:
-    """Steady states of a stack of ``n`` linear dynamics of dimension ``d``.
-
-    ``errors[k]`` is None when point ``k`` has a steady state, otherwise the
-    exception ``solve_lyapunov`` raises for it.  ``max_real_part`` is NaN
-    where the drift has non-finite entries and ``covariances`` (n, d, d)
-    where it is not stable.
-    """
-
-    max_real_part: NDArray[np.float64]
-    covariances: NDArray[np.float64]
-    errors: tuple[MagsqueezeError | None, ...]
-
-
 @functools.lru_cache(maxsize=None)
 def _vech_operator(d: int) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
     """Lower-triangle positions, unknown of each entry and vech operator O of a symmetric d x d V.
@@ -109,25 +99,18 @@ def _vech_operator(d: int) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[
     return rows * d + cols, index, operator.reshape(d * d, m * m)
 
 
-def _verdict(finite: bool, stable: bool, top: float, residual: float) -> MagsqueezeError | None:
-    """The exception ``solve_lyapunov`` raises for one point of ``steady_stack``, or None."""
-    if not finite:
-        return InvalidInputError("gamma and diffusion must have finite entries")
-    if not stable:
-        return NoSteadyStateError(f"drift matrix is not stable (max eigenvalue real part {top:.6e})")
-    if not residual <= RESIDUAL_BOUND:
-        message = f"Lyapunov residual {residual:.3e} exceeds bound {RESIDUAL_BOUND:.0e}"
-        return NumericalError(message, residual=float(residual))
-    return None
-
-
-def steady_stack(gammas: NDArray[np.float64], diffusions: NDArray[np.float64]) -> SteadyStack:
+def steady_stack(
+    gammas: NDArray[np.float64], diffusions: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.int8], NDArray[np.float64]]:
     """Stability verdicts and steady covariance matrices of (n, d, d) stacks.
 
     One batched eigensolve classifies every drift with the margin of
     ``stability``; the stable points' (n, 21, 21) systems on the lower
     triangle of V come from one matmul and are solved batched with one
-    refinement step.  Residuals and errors are those of ``solve_lyapunov``.
+    refinement step.  Returns per point the max real part of the spectrum
+    (NaN for non-finite input), the covariance matrix (NaN unless stable), and
+    the verdict of ``solve_lyapunov`` (non_finite, unstable or residual) as a
+    code with the float it quotes: the max real part or the residual.
     """
     n, d, _ = gammas.shape
     finite = np.isfinite(gammas).all(axis=(1, 2)) & np.isfinite(diffusions).all(axis=(1, 2))
@@ -151,8 +134,9 @@ def steady_stack(gammas: NDArray[np.float64], diffusions: NDArray[np.float64]) -
     norm_l = np.maximum(np.linalg.norm(lam, axis=(1, 2)), 1e-300)
     covariances[stable] = v
     residuals[stable] = np.linalg.norm(g @ v + v @ g.transpose(0, 2, 1) + lam, axis=(1, 2)) / norm_l
-    errors = tuple(map(_verdict, finite, stable, max_real, residuals))
-    return SteadyStack(max_real, covariances, errors)
+    code = np.select([~finite, ~stable, ~(residuals <= RESIDUAL_BOUND)],
+                     [NON_FINITE, UNSTABLE, RESIDUAL], OK).astype(np.int8)
+    return max_real, covariances, code, np.where(stable, residuals, max_real)
 
 
 def solve_lyapunov(
@@ -163,7 +147,7 @@ def solve_lyapunov(
     Refuses unstable drift matrices (``NoSteadyStateError``).  The result
     is symmetric, and the relative residual
     ``|Gamma V + V Gamma^T + Lambda| / |Lambda|`` (Frobenius) must come out
-    below 1e-10, otherwise ``NumericalError`` carries the measured value.
+    below 1e-10, otherwise ``NumericalError`` quotes the measured value.
     """
     arr_g = _checked_square(gamma, "gamma")
     arr_l = _checked_square(diffusion, "diffusion")
@@ -171,10 +155,10 @@ def solve_lyapunov(
         raise InvalidInputError(
             f"shape mismatch: gamma {arr_g.shape} vs diffusion {arr_l.shape}"
         )
-    stack = steady_stack(arr_g[None], arr_l[None])
-    if stack.errors[0] is not None:
-        raise stack.errors[0]
-    return CovarianceMatrix(stack.covariances[0])
+    _, covariances, code, value = steady_stack(arr_g[None], arr_l[None])
+    if code[0]:
+        raise verdict_error(code[0], value[0])
+    return CovarianceMatrix(covariances[0])
 
 
 def evolve_covariance(

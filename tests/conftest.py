@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from magsqueeze import SystemParams
+from magsqueeze import MagsqueezeError, SystemParams
+from magsqueeze.errors import verdict_error
 
 TWO_PI = 2.0 * np.pi
 KAPPA_A = TWO_PI * 3e6
@@ -31,6 +32,11 @@ def make_params(**overrides: float) -> SystemParams:
     merged = dict(BASE_PARAMS)
     merged.update(overrides)
     return SystemParams(**merged)
+
+
+def verdict(code: int, value: float = np.nan) -> MagsqueezeError | None:
+    """The exception of a verdict code and its quoted value, None for ok."""
+    return verdict_error(code, value) if code else None
 
 
 @pytest.fixture(scope="session")

@@ -306,6 +306,8 @@ class TestSweep:
             sweep(p, [("upsilon", [])])
         with pytest.raises(ConfigError):
             sweep(p, [("upsilon", [np.nan])])
+        with pytest.raises(ConfigError, match="upsilon must be finite"):
+            sweep(p, [("upsilon", [1.0, np.nan, 2.0])])
         with pytest.raises(ConfigError):
             sweep(p, [("upsilon", [-1.0])])
         # Every value is validated, not only the first one.

@@ -144,6 +144,13 @@ class TestSteady:
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
         assert cli.main(["steady", "--config", cfg, "--set", "upsilon"]) == 2
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_nonfinite_parameter_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
+        code = cli.main(["steady", "--config", cfg, "--set", f"upsilon_over_2pi_hz={value}"])
+        assert code == 2
+        assert "upsilon must be finite" in capsys.readouterr().err
+
 
 def sweep_tree(**sweep_extra) -> dict:
     tree = {

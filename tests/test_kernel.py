@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsqueeze import (
+    MagsqueezeError,
     ModePair,
     NoSteadyStateError,
     NumericalError,
@@ -31,9 +32,10 @@ from magsqueeze import (
     symplectic_form,
 )
 from magsqueeze.analysis import _CHUNK
+from magsqueeze.errors import VERDICTS
 from magsqueeze.tableio import read_csv, sweep_table
 
-from conftest import KAPPA_A, TWO_PI, make_params
+from conftest import KAPPA_A, TWO_PI, make_params, verdict
 
 # Relative agreement with the scalar path; the absolute floor covers
 # measures at zero and the cancellation in the residual tangle.
@@ -62,12 +64,13 @@ def assert_matches_scalar(points) -> int:
     stable = 0
     for k, params in enumerate(points):
         want = scalar_reference(params)
+        error = verdict(evaluation.code[k], evaluation.value[k])
         if want is None:
-            assert isinstance(evaluation.errors[k], NoSteadyStateError)
+            assert isinstance(error, NoSteadyStateError)
             assert np.all(np.isnan(evaluation.measures[k]))
             continue
         stable += 1
-        assert evaluation.errors[k] is None
+        assert error is None
         np.testing.assert_allclose(evaluation.measures[k], want, rtol=RTOL, atol=ATOL)
     return stable
 
@@ -141,11 +144,13 @@ def driven_params(**overrides):
 def resonant_upsilon(params) -> float:
     """Squeezing amplitude at which the steady-amplitude denominator vanishes.
 
-    The drive is weak enough that the self-consistent detuning shift is
-    negligible, so the first amplitude evaluation sits on the resonance.
+    With a drive frequency, the drive is weak enough that the self-consistent
+    detuning shift is negligible, so the first amplitude evaluation sits on
+    the resonance.
     """
-    delta_a = params.omega_a - params.omega_0
-    delta_m = params.omega_m - params.omega_0
+    delta_a, delta_m = params.delta_a, params.delta_m
+    if params.omega_0 is not None:
+        delta_a, delta_m = params.omega_a - params.omega_0, params.omega_m - params.omega_0
     k_minus = (params.kappa_a - 1j * delta_a) * (params.kappa_m - 1j * delta_m) + params.g_a**2
     return abs(k_minus) / np.hypot(delta_a, params.kappa_a)
 
@@ -185,6 +190,33 @@ class TestFailureIsolation:
         first, second = result.records
         assert not first.failed and first.c_mb is not None
         assert second.failed and second.c_mb is None and second.backward_stable is None
+
+    def test_mixed_grid_builds_no_exception_per_point(self, monkeypatch):
+        # Stable, residual-failing (near the theta = pi/2 edge), resonant and
+        # unstable points, with and without a pairing, are all reported by code.
+        params = make_params(theta=np.pi / 2)
+        upsilon = [KAPPA_A, (1.0 - 1e-9) * stability_edge(params)]
+        params = replace(params, rabi=1e3)
+        upsilon += [resonant_upsilon(params), 4.5 * KAPPA_A]
+        grid = [("upsilon", upsilon), ("theta", [0.5 * np.pi, 0.3])]
+        pairing = PhasePairing(0.5 * np.pi, 1.5 * np.pi)
+        points = [replace(params, upsilon=u, theta=t) for u in upsilon for t in (0.5 * np.pi, 0.3)]
+        kinds = {VERDICTS[code][0] for code in evaluate(points).code}
+        assert kinds == {"ok", "residual", "resonance", "unstable"}
+
+        built = []
+
+        def counting(self, *args):
+            built.append(type(self))
+            Exception.__init__(self, *args)
+
+        monkeypatch.setattr(MagsqueezeError, "__init__", counting)
+        plain = sweep(params, grid)
+        paired = sweep(params, grid[:1], pairing=pairing)
+        assert built == []
+        assert plain.failed.tolist() == [False, False, True, False, True, True, False, False]
+        assert plain.stable.tolist() == [True, True, False, False, False, False, False, False]
+        assert paired.failed.tolist() == [False, True, True, False]
 
     def test_metadata_line_only_when_points_fail(self, tmp_path, capsys):
         u_res_hz = float(resonant_upsilon(driven_params()) / TWO_PI)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,12 @@ class TestSystemParams:
     def test_rejects_nonfinite_theta(self):
         with pytest.raises(InvalidInputError):
             make_params(theta=np.inf)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_rejects_nonfinite_values(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite$"):
+            make_params(**{name: value})
 
     def test_theta_normalized_into_period(self):
         p = make_params(theta=-np.pi / 2.0)

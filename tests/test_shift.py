@@ -28,7 +28,7 @@ from magsqueeze import ParametricResonanceError, SystemParams, cli
 from magsqueeze.analysis import _CHUNK
 from magsqueeze.model import _brentq, derive, derive_many
 
-from conftest import TWO_PI
+from conftest import TWO_PI, verdict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -115,10 +115,10 @@ def assert_matches_oracle(points: list[SystemParams]) -> list[str]:
         try:
             want, path = oracle(p)
         except ParametricResonanceError:
-            assert isinstance(derived.exception(k), ParametricResonanceError)
+            assert isinstance(verdict(derived.code[k]), ParametricResonanceError)
             paths.append("resonance")
             continue
-        assert derived.error[k] == 0, (p, derived.exception(k))
+        assert derived.code[k] == 0, (p, verdict(derived.code[k]))
         assert derived.delta_m_bar[k] == pytest.approx(want, rel=RTOL, abs=0.0)
         paths.append(path)
     return paths

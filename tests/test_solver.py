@@ -22,7 +22,7 @@ from magsqueeze import (
 )
 from magsqueeze.solver import steady_stack
 
-from conftest import TWO_PI, make_params
+from conftest import TWO_PI, make_params, verdict
 
 
 def random_stable_system(rng: np.random.Generator):
@@ -170,9 +170,10 @@ def drawn_system(rng: np.random.Generator, d: int, kind: str) -> tuple[np.ndarra
 
 
 def assert_stack_matches_oracle(gammas: np.ndarray, lams: np.ndarray) -> None:
-    stack = steady_stack(gammas, lams)
-    for g, lam, v, error in zip(gammas, lams, stack.covariances, stack.errors):
+    _, covariances, codes, values = steady_stack(gammas, lams)
+    for g, lam, v, code, value in zip(gammas, lams, covariances, codes, values):
         want, want_error = kronecker_oracle(g, lam)
+        error = verdict(code, value)
         assert type(error) is type(want_error)
         assert str(error) == str(want_error)
         if want is None:

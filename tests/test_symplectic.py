@@ -1,7 +1,7 @@
 """The real symplectic eigensolve and the stacked three-mode measures.
 
 Symplectic spectra of partial transposes are checked against 40-digit
-eigenvalues of ``Omega W``, and the per-state failure verdicts of
+eigenvalues of ``Omega W``, and the per-state verdict codes of
 ``three_mode_measures`` against the exceptions of the scalar functions.
 """
 
@@ -20,6 +20,7 @@ from magsqueeze import (
     InvalidInputError,
     InvalidStateError,
     MagsqueezeError,
+    NumericalError,
     Partition,
     evaluate,
     log_negativity,
@@ -31,9 +32,10 @@ from magsqueeze import (
 )
 from magsqueeze import gaussian
 from magsqueeze.config import load_config
+from magsqueeze.errors import CONDITION_BOUND, ILL_CONDITIONED, OK
 from magsqueeze.gaussian import _symplectic_spectra, three_mode_measures
 
-from conftest import KAPPA_A, TWO_PI, make_params
+from conftest import KAPPA_A, TWO_PI, make_params, verdict
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -86,8 +88,8 @@ def assert_spectra_match_exact(states: list[CovarianceMatrix]) -> None:
             np.testing.assert_allclose(batched[column // 3][k, column % 3], want, rtol=RTOL, atol=0.0)
             if column < 3:
                 negativities[k, column] = max(0.0, -np.log(2.0 * want[0]))
-    measures, errors = three_mode_measures(np.array([v.data for v in states]))
-    assert errors == (None,) * len(states)
+    measures, code, _ = three_mode_measures(np.array([v.data for v in states]))
+    assert (code == OK).all()
     # A relative error of RTOL in nu is an absolute error of RTOL in -ln(2 nu).
     np.testing.assert_allclose(measures[:, :3], negativities, rtol=0.0, atol=RTOL)
 
@@ -105,8 +107,7 @@ def config_states(name: str, picks: dict[str, list[int]]) -> list[CovarianceMatr
         points = [replace(p, theta=theta) for p in points
                   for theta in (pairing.theta_forward, pairing.theta_backward)]
     evaluation = evaluate(points, with_measures=False)
-    return [CovarianceMatrix(c) for c, e in zip(evaluation.covariances, evaluation.errors)
-            if e is None]
+    return [CovarianceMatrix(c) for c in evaluation.covariances[evaluation.code == OK]]
 
 
 def test_fig2_states_match_exact_spectra():
@@ -140,7 +141,7 @@ def test_ill_conditioned_states_match_exact_spectra():
         for upsilon in (3.15, 3.25, 3.3)
     ]
     evaluation = evaluate(points, with_measures=False)
-    assert evaluation.errors == [None] * len(points)
+    assert (evaluation.code == OK).all()
     states = [CovarianceMatrix(c) for c in evaluation.covariances]
     assert min(conditioning(v) for v in states) > 1e3
     assert_spectra_match_exact(states)
@@ -162,7 +163,7 @@ def test_drawn_physical_states_match_exact_spectra(upsilon, theta, g_a, temperat
         upsilon=upsilon * KAPPA_A, theta=theta, g_a=g_a * KAPPA_A, temperature=temperature
     )
     evaluation = evaluate([params], with_measures=False)
-    if evaluation.errors[0] is None:
+    if evaluation.code[0] == OK:
         assert_spectra_match_exact([steady_state(params)])
 
 
@@ -178,8 +179,9 @@ def scalar_error(v: np.ndarray) -> MagsqueezeError | None:
     return None
 
 
-def assert_verdicts_match_scalar(stack: np.ndarray) -> tuple[MagsqueezeError | None, ...]:
-    measures, errors = three_mode_measures(stack)
+def assert_verdicts_match_scalar(stack: np.ndarray) -> list[MagsqueezeError | None]:
+    measures, code, value = three_mode_measures(stack)
+    errors = list(map(verdict, code, value))
     for v, row, error in zip(stack, measures, errors):
         want = scalar_error(v)
         assert type(error) is type(want)
@@ -216,9 +218,14 @@ def test_non_positive_spectrum_verdict_matches_the_scalar_path(monkeypatch):
     assert isinstance(errors[2], InvalidInputError)
 
 
-def squeezed_beside_vacua(rng: np.random.Generator) -> np.ndarray:
-    """Mode 0 squeezed by s = 10^U(6, 9) along a random angle; modes 1 and 2 in vacuum."""
-    s = 10.0 ** rng.uniform(6.0, 9.0)
+def squeezed_beside_vacua(
+    rng: np.random.Generator, low: float = 6.0, high: float = 9.0
+) -> np.ndarray:
+    """Mode 0 squeezed by s = 10^U(low, high) along a random angle; modes 1 and 2 in vacuum.
+
+    A product state, so every measure is 0; its condition number is s^2.
+    """
+    s = 10.0 ** rng.uniform(low, high)
     phi = rng.uniform(0.0, 2.0 * np.pi)
     rotation = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     v = 0.5 * np.eye(6)
@@ -237,20 +244,32 @@ def fails_cholesky(v: np.ndarray) -> bool:
 
 def test_failed_factorization_of_a_definite_state_is_a_verdict():
     # Near 1/eps conditioning, eigvalsh can find a state physical and positive
-    # definite while Cholesky fails on one of its partial transposes.
+    # definite while Cholesky fails on one of its partial transposes.  Such a
+    # state, and every other one above the condition bound, is ill-conditioned.
     rng = np.random.default_rng(0)
     stack = np.array([squeezed_beside_vacua(rng) for _ in range(400)])
+    # Then condition numbers from 1e4 to 1e10, on both sides of the bound.
+    stack = np.concatenate([stack, [squeezed_beside_vacua(rng, 2.0, 5.0) for _ in range(400)]])
+    spectrum = np.linalg.eigvalsh(stack)
     physical = gaussian._uncertainty_floor(stack) >= -gaussian.PHYSICALITY_TOL
-    definite = np.linalg.eigvalsh(stack)[:, 0] > 0.0
+    definite = spectrum[:, 0] > 0.0
     reached = [k for k in np.flatnonzero(physical & definite) if fails_cholesky(stack[k])]
     assert len(reached) >= 10
+    with np.errstate(divide="ignore"):
+        condition = spectrum[:, -1] / spectrum[:, 0]
+    above = np.flatnonzero(physical & definite & (condition > CONDITION_BOUND))
+    assert set(reached) <= set(above)
     errors = assert_verdicts_match_scalar(stack)
-    for k in reached:
-        assert isinstance(errors[k], InvalidInputError)
-        assert str(errors[k]) == "symplectic spectrum requires a positive definite matrix"
-    # The states that pass get the values the stacked factorization gives them.
-    measures, _ = three_mode_measures(stack)
-    passing = [k for k, error in enumerate(errors) if error is None]
-    alone, alone_errors = three_mode_measures(stack[passing])
-    assert alone_errors == (None,) * len(passing)
+    measures, code, _ = three_mode_measures(stack)
+    assert (code[above] == ILL_CONDITIONED).all()
+    for k in above:
+        assert isinstance(errors[k], NumericalError)
+        assert str(errors[k]).startswith("covariance matrix condition number")
+    # The states that pass get the values the stacked factorization gives them,
+    # and a product state shows no entanglement beyond rounding.
+    passing = np.flatnonzero(code == OK)
+    assert passing.size >= 100
+    alone, alone_code, _ = three_mode_measures(stack[passing])
+    assert (alone_code == OK).all()
     assert np.array_equal(measures[passing], alone)
+    assert measures[passing].max() <= 1e-9
