@@ -20,8 +20,9 @@ of ``load_config``, ``run`` from there to the return of ``cli.main`` and
 The run is stored under ``--label`` in the JSON file ``--output`` (other
 labels in that file are kept; stage runs under ``runs``, launch runs under
 ``launch_runs``), with the repeat count, the git sha of the timed checkout,
-the machine and the numpy and BLAS versions.  ``--src`` times another
-checkout's ``src`` directory with the same inputs.
+the hash of the git tree that was timed, the machine and the numpy and BLAS
+versions.  ``--src`` times another checkout's ``src`` directory with the same
+inputs.
 
 Usage:
     python scripts/stage_times.py --output BENCH.json [--label change] [--repeats 21]
@@ -85,6 +86,17 @@ def _git(src: Path, *args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def _tree_sha(src: Path, dirty: bool) -> str | None:
+    """The git tree of the tracked files as they are in the checkout of ``src``.
+
+    With uncommitted changes that is the tree of ``git stash create``'s
+    commit, which snapshots them without touching the working tree or any
+    ref; otherwise it is HEAD's tree.
+    """
+    commit = _git(src, "stash", "create") if dirty else "HEAD"
+    return _git(src, "rev-parse", f"{commit}^{{tree}}") if commit else None
 
 
 def _machine() -> dict[str, object]:
@@ -212,9 +224,11 @@ def main(argv: list[str] | None = None) -> int:
 
     src = args.src.resolve()
     timed = measure_launches(src, args.repeats) if args.launch else measure(src, args.repeats)
+    dirty = bool(_git(src, "status", "--porcelain", "--untracked-files=no"))
     run = {
         "git_sha": _git(src, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--untracked-files=no")),
+        "tree_sha": _tree_sha(src, dirty),
+        "uncommitted_changes": dirty,
         "repeats": args.repeats,
         "machine": _machine(),
         "versions": _versions(),

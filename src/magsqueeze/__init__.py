@@ -13,7 +13,6 @@ from .analysis import (
     Evaluation,
     ModePair,
     PhasePairing,
-    SweepRecord,
     SweepResult,
     bipartite_entanglement,
     contrast_ratio,
@@ -48,12 +47,10 @@ from .gaussian import (
     wigner_single_mode,
 )
 from .model import (
-    DerivedQuantities,
     SystemParams,
     ValidityReport,
     build_diffusion,
     build_drift,
-    derive,
     effective_coupling,
     rabi_frequency,
     steady_magnon_amplitude_approx,
@@ -89,7 +86,6 @@ __all__ = [
     "wigner_single_mode",
     "check_physicality",
     "SystemParams",
-    "DerivedQuantities",
     "ValidityReport",
     "thermal_occupation",
     "total_spins",
@@ -99,7 +95,6 @@ __all__ = [
     "build_drift",
     "build_diffusion",
     "effective_coupling",
-    "derive",
     "validity_report",
     "StabilityReport",
     "stability",
@@ -109,7 +104,6 @@ __all__ = [
     "PhasePairing",
     "DirectionalPoint",
     "ContrastRecord",
-    "SweepRecord",
     "SweepResult",
     "bipartite_entanglement",
     "contrast_ratio",

@@ -33,11 +33,8 @@ from .errors import (
 from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
 from .model import (
     TWO_PI,
-    DerivedColumns,
     ParamColumns,
     SystemParams,
-    ValidityReport,
-    _validity,
     derive_many,
     diffusion_stack,
     drift_stack,
@@ -51,7 +48,6 @@ __all__ = [
     "PhasePairing",
     "DirectionalPoint",
     "ContrastRecord",
-    "SweepRecord",
     "SweepResult",
     "SWEEP_AXES",
     "bipartite_entanglement",
@@ -154,29 +150,6 @@ class ContrastRecord:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep; contrast fields are None without a pairing.
-
-    ``failed`` marks a null record whose point raised (see ``sweep``)
-    instead of being solved as stable or unstable.
-    """
-
-    axis_values: tuple[float, ...]
-    stable: bool
-    e_am: float | None
-    e_ab: float | None
-    e_mb: float | None
-    r_min: float | None
-    c_am: float | None = None
-    c_ab: float | None = None
-    c_mb: float | None = None
-    c_r: float | None = None
-    backward_stable: bool | None = None
-    validity: ValidityReport | None = None
-    failed: bool = False
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Grid axes plus one array entry per grid point, row-major over the axes.
 
@@ -184,19 +157,16 @@ class SweepResult:
     phase, False on ``failed`` points (see ``sweep``).  ``measures`` holds
     ``MEASURES`` and ``contrasts`` ``CONTRASTS`` per point, NaN where a value
     is missing or not selected.  ``backward_stable`` and ``contrasts`` are None
-    without a pairing; ``validity`` holds a report per point (None on null
-    points) when the sweep made them.
+    without a pairing.
     """
 
     axes: tuple[tuple[str, np.ndarray], ...]
     pairing: PhasePairing | None
-    base: SystemParams
     stable: np.ndarray
     failed: np.ndarray
     measures: np.ndarray
     backward_stable: np.ndarray | None = None
     contrasts: np.ndarray | None = None
-    validity: tuple[ValidityReport | None, ...] | None = None
 
     def __post_init__(self) -> None:
         expected = int(np.prod([len(grid) for _, grid in self.axes]))
@@ -204,26 +174,6 @@ class SweepResult:
             raise InvalidInputError(
                 f"point count {len(self.stable)} != product of axis lengths {expected}"
             )
-
-    @property
-    def records(self) -> tuple[SweepRecord, ...]:
-        """One ``SweepRecord`` per grid point, with None for NaN."""
-        n = len(self.stable)
-        mesh = np.meshgrid(*(grid for _, grid in self.axes), indexing="ij")
-        failed = self.failed.tolist()
-        contrasts = [[None] * 4] * n if self.contrasts is None else map(_nullable, self.contrasts)
-        backward = [None] * n if self.backward_stable is None else [
-            None if f else b for f, b in zip(failed, self.backward_stable.tolist())
-        ]
-        return tuple(
-            SweepRecord(values, stable, *measures, *contrast,
-                        backward_stable=b, validity=validity, failed=f)
-            for values, stable, measures, contrast, b, validity, f in zip(
-                zip(*(axis.ravel().tolist() for axis in mesh)), self.stable.tolist(),
-                map(_nullable, self.measures), contrasts, backward,
-                self.validity or [None] * n, failed,
-            )
-        )
 
 
 def _nullable(values: np.ndarray) -> list[float | None]:
@@ -241,7 +191,7 @@ class Evaluation:
     the verdict of the first stage that fails each point, so
     ``errors.verdict_error(code[k], value[k])`` is the exception the scalar
     path raises for it.  ``measures`` holds E_am, E_ab, E_mb and R_min per
-    row, NaN unless the point is stable.  ``derived`` is ``derive_many(points)``.
+    row, NaN unless the point is stable.
     """
 
     max_real_part: np.ndarray
@@ -249,7 +199,6 @@ class Evaluation:
     measures: np.ndarray
     code: np.ndarray
     value: np.ndarray
-    derived: DerivedColumns
 
 
 def evaluate(
@@ -279,7 +228,7 @@ def evaluate(
         steady = solved[code[solved] == OK]
         if with_measures and steady.size:
             measures[steady], code[steady], value[steady] = three_mode_measures(covariances[steady])
-    return Evaluation(max_real, covariances, measures, code, value, derived)
+    return Evaluation(max_real, covariances, measures, code, value)
 
 
 def steady_state(params: SystemParams) -> CovarianceMatrix:
@@ -399,7 +348,6 @@ def sweep(
     axes: Sequence[tuple[str, Sequence[float]]],
     pairing: PhasePairing | None = None,
     measures: Sequence[str] | None = None,
-    kerr_coefficient: float | None = None,
 ) -> SweepResult:
     """Evaluate steady-state measures over a 1-D or 2-D parameter grid.
 
@@ -408,9 +356,7 @@ def sweep(
     every point is solved at both phases and contrast columns are filled;
     the point's own measures are those of the forward phase.  ``measures``
     selects a subset of ``MEASURES`` (None keeps all); unselected measures
-    are NaN.  When ``kerr_coefficient`` is given and the parameters carry
-    drive and geometry information, a validity report at the point's own
-    (with a pairing, the forward) phase is attached to each point.
+    are NaN.
 
     A point that is unstable, or that fails (parametric resonance in the
     steady amplitude, a Lyapunov residual above 1e-10, an unphysical
@@ -439,19 +385,9 @@ def sweep(
     kept = stable[:, None] & np.isin(MEASURES, selected)
     forward = np.where(kept, evaluation.measures[::phases], np.nan)
 
-    validity = None
-    if kerr_coefficient is not None:
-        m_s = evaluation.derived.m_s[::phases].tolist()
-        try:
-            validity = tuple(
-                _validity(params_base, kerr_coefficient, m, s) if show else None
-                for m, s, show in zip(m_s, stable.tolist(), shown.tolist())
-            )
-        except InvalidInputError:  # no drive or geometry to check
-            pass
     return SweepResult(
-        axes=grid_axes, pairing=pairing, base=params_base, stable=stable, failed=failed,
-        measures=forward, backward_stable=backward_stable, contrasts=contrasts, validity=validity,
+        axes=grid_axes, pairing=pairing, stable=stable, failed=failed,
+        measures=forward, backward_stable=backward_stable, contrasts=contrasts,
     )
 
 

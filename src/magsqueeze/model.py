@@ -32,7 +32,6 @@ __all__ = [
     "SystemParams",
     "ParamColumns",
     "DerivedColumns",
-    "DerivedQuantities",
     "ValidityReport",
     "thermal_occupation",
     "total_spins",
@@ -42,7 +41,6 @@ __all__ = [
     "build_drift",
     "build_diffusion",
     "effective_coupling",
-    "derive",
     "derive_many",
     "validity_report",
 ]
@@ -123,36 +121,6 @@ class SystemParams:
             )
         if self.G_m is None and self.g_m is None:
             raise InvalidInputError("a magnomechanical coupling (G_m or g_m) is required")
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Quantities derived from :class:`SystemParams` for one operating point.
-
-    ``delta_m`` is the bare magnon detuning and ``delta_m_bar`` the
-    effective value entering the drift (they coincide unless the detuning
-    is resolved self-consistently from ``omega_0`` with a bare coupling).
-    ``m_s``, ``q_s``, ``G_m_effective``, ``omega_rabi`` and ``N_0`` are
-    ``None`` when the parameter set does not determine them.
-    """
-
-    delta_a: float
-    delta_m: float
-    delta_m_bar: float
-    delta_theta: float
-    kappa_theta: float
-    delta_theta_plus: float
-    delta_theta_minus: float
-    kappa_theta_plus: float
-    kappa_theta_minus: float
-    m_s: complex | None
-    q_s: float | None
-    G_m_effective: complex | None
-    omega_rabi: float | None
-    n_a: float
-    n_m: float
-    n_b: float
-    N_0: float | None
 
 
 @dataclass(frozen=True)
@@ -402,7 +370,7 @@ def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns
     points, with one batched self-consistent shift.
 
     A point at parametric resonance, or whose shift has no fixed point, gets
-    the verdict code of the ``ParametricResonanceError`` ``derive`` raises for it.
+    the verdict code of the ``ParametricResonanceError`` ``_one`` raises for it.
     """
     columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
     c = {name: columns[name] for name in ("kappa_a", "delta_a", "kappa_m", "delta_m", "omega_b")}
@@ -437,47 +405,14 @@ def _one(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
     return columns, derived
 
 
-def derive(params: SystemParams) -> DerivedQuantities:
-    """Resolve detunings, steady amplitudes, couplings and occupations."""
+def _driven(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
+    """``_one(params)``; raises ``InvalidInputError`` for a point without a drive amplitude."""
     columns, derived = _one(params)
-    delta_m_bar = float(derived.delta_m_bar[0])
-    omega_rabi = _resolved(params)["omega_rabi"]
-    m_s = None if omega_rabi is None else complex(derived.m_s[0])
-    n_0: float | None = None
-    if params.sphere_diameter is not None:
-        n_0 = total_spins(params.sphere_diameter, params.spin_density)
-
-    q_s: float | None = None
-    if m_s is not None and params.g_m is not None:
-        q_s = -params.g_m * abs(m_s) ** 2 / params.omega_b
-
-    g_eff: complex | None = None
-    if params.G_m is not None:
-        g_eff = complex(params.G_m)
-    elif m_s is not None:
-        g_eff = 1j * math.sqrt(2.0) * params.g_m * m_s
-
-    delta_theta = params.upsilon * math.sin(params.theta)
-    kappa_theta = params.upsilon * math.cos(params.theta)
-    return DerivedQuantities(
-        delta_a=float(columns["delta_a"][0]),
-        delta_m=float(columns["delta_m"][0]),
-        delta_m_bar=delta_m_bar,
-        delta_theta=delta_theta,
-        kappa_theta=kappa_theta,
-        delta_theta_plus=delta_m_bar + delta_theta,
-        delta_theta_minus=delta_m_bar - delta_theta,
-        kappa_theta_plus=params.kappa_m + kappa_theta,
-        kappa_theta_minus=params.kappa_m - kappa_theta,
-        m_s=m_s,
-        q_s=q_s,
-        G_m_effective=g_eff,
-        omega_rabi=omega_rabi,
-        n_a=thermal_occupation(params.omega_a, params.temperature),
-        n_m=thermal_occupation(params.omega_m, params.temperature),
-        n_b=thermal_occupation(params.omega_b, params.temperature),
-        N_0=n_0,
-    )
+    if np.isnan(columns["omega_rabi"][0]):
+        raise InvalidInputError(
+            "steady amplitude requires a drive: set rabi, or h_d with sphere_diameter"
+        )
+    return columns, derived
 
 
 def steady_magnon_amplitude_exact(params: SystemParams) -> complex:
@@ -487,13 +422,7 @@ def steady_magnon_amplitude_exact(params: SystemParams) -> complex:
     ``sphere_diameter``).  Raises ``ParametricResonanceError`` when the
     response denominator is within 1e-6 (relative) of zero.
     """
-    derived = derive(params)
-    if derived.omega_rabi is None:
-        raise InvalidInputError(
-            "steady amplitude requires a drive: set rabi, or h_d with sphere_diameter"
-        )
-    assert derived.m_s is not None
-    return derived.m_s
+    return complex(_driven(params)[1].m_s[0])
 
 
 def steady_magnon_amplitude_approx(params: SystemParams) -> complex:
@@ -502,27 +431,24 @@ def steady_magnon_amplitude_approx(params: SystemParams) -> complex:
     Valid for detunings well above the linewidths; emits a warning when
     either detuning is below ten linewidths.
     """
-    derived = derive(params)
-    if derived.omega_rabi is None:
-        raise InvalidInputError(
-            "steady amplitude requires a drive: set rabi, or h_d with sphere_diameter"
-        )
-    if derived.delta_a == 0.0:
+    columns, derived = _driven(params)
+    delta_a, delta_m_bar = float(columns["delta_a"][0]), float(derived.delta_m_bar[0])
+    if delta_a == 0.0:
         raise InvalidInputError("the approximate amplitude requires a nonzero cavity detuning")
     wide = max(params.kappa_a, params.kappa_m)
-    if min(abs(derived.delta_a), abs(derived.delta_m_bar)) < 10.0 * wide:
+    if min(abs(delta_a), abs(delta_m_bar)) < 10.0 * wide:
         warnings.warn(
             "detunings are within 10 linewidths; the approximate amplitude may be inaccurate",
             stacklevel=2,
         )
-    eta = params.g_a**2 / derived.delta_a - derived.delta_m_bar
+    eta = params.g_a**2 / delta_a - delta_m_bar
     denominator = eta**2 - params.upsilon**2
     if abs(denominator) <= _DENOMINATOR_RTOL * (eta**2 + params.upsilon**2):
         raise ParametricResonanceError(
             "approximate amplitude denominator vanishes: squeezing amplitude at parametric resonance"
         )
     numerator = params.upsilon * np.exp(1j * params.theta) + 1j * eta
-    return complex(numerator / denominator * derived.omega_rabi)
+    return complex(numerator / denominator * float(columns["omega_rabi"][0]))
 
 
 def effective_coupling(params: SystemParams) -> complex:
@@ -531,12 +457,14 @@ def effective_coupling(params: SystemParams) -> complex:
     With a direct ``G_m`` it is returned unchanged (as a real complex
     number); otherwise it is ``i sqrt(2) g_m m_s``.
     """
-    derived = derive(params)
-    if derived.G_m_effective is None:
+    columns, derived = _one(params)
+    if params.G_m is not None:
+        return complex(params.G_m)
+    if np.isnan(columns["omega_rabi"][0]):
         raise InvalidInputError(
             "effective coupling needs G_m, or g_m with a drive to form the steady amplitude"
         )
-    return derived.G_m_effective
+    return 1j * math.sqrt(2.0) * params.g_m * complex(derived.m_s[0])
 
 
 def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.float64]:
@@ -601,42 +529,6 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     return diffusion_stack(ParamColumns.gather([params]))[0]
 
 
-def _validity(
-    params: SystemParams, kerr_coefficient: float, m_s: complex, stable: bool
-) -> ValidityReport:
-    """Validity report of a point with the drive and geometry of ``params``,
-    from its steady amplitude and stability verdict."""
-    if kerr_coefficient < 0.0:
-        raise InvalidInputError("kerr_coefficient must be non-negative")
-    omega_rabi = _resolved(params)["omega_rabi"]
-    if omega_rabi is None:
-        raise InvalidInputError(
-            "validity checks need the steady amplitude: set rabi, or h_d with sphere_diameter"
-        )
-    if params.sphere_diameter is None:
-        raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
-
-    amplitude = abs(m_s)
-    occupation = amplitude**2
-    bound = 2.0 * total_spins(params.sphere_diameter, params.spin_density) * params.spin_s
-    kerr_shift = kerr_coefficient * amplitude**3
-    if omega_rabi > 0.0:
-        ratio = kerr_shift / omega_rabi
-    else:
-        ratio = 0.0 if kerr_shift == 0.0 else math.inf
-    return ValidityReport(
-        magnon_amplitude=amplitude,
-        magnon_occupation=occupation,
-        excitation_bound=bound,
-        kerr_coefficient=kerr_coefficient,
-        kerr_drive_ratio=ratio,
-        drive_amplitude=omega_rabi,
-        low_excitation_ok=occupation < 0.01 * bound,
-        kerr_ok=ratio < 0.5,
-        stable=stable,
-    )
-
-
 def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityReport:
     """Check the linearization against excitation-number and Kerr bounds.
 
@@ -647,7 +539,26 @@ def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityRe
     from .solver import stability  # local import keeps module layering acyclic
 
     columns, derived = _one(params)
-    m_s = complex(derived.m_s[0])
-    # Without a drive there is no drift to check, and _validity raises.
-    stable = not np.isnan(m_s) and stability(drift_stack(columns, derived)[0]).is_stable
-    return _validity(params, kerr_coefficient, m_s, stable)
+    omega_rabi = float(columns["omega_rabi"][0])
+    if kerr_coefficient < 0.0:
+        raise InvalidInputError("kerr_coefficient must be non-negative")
+    if math.isnan(omega_rabi):
+        raise InvalidInputError(
+            "validity checks need the steady amplitude: set rabi, or h_d with sphere_diameter"
+        )
+    if params.sphere_diameter is None:
+        raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
+
+    amplitude = abs(complex(derived.m_s[0]))
+    occupation = amplitude**2
+    bound = 2.0 * total_spins(params.sphere_diameter, params.spin_density) * params.spin_s
+    kerr_shift = kerr_coefficient * amplitude**3
+    if omega_rabi > 0.0:
+        ratio = kerr_shift / omega_rabi
+    else:
+        ratio = 0.0 if kerr_shift == 0.0 else math.inf
+    stable = stability(drift_stack(columns, derived)[0]).is_stable
+    return ValidityReport(
+        amplitude, occupation, bound, kerr_coefficient, ratio, omega_rabi,
+        low_excitation_ok=occupation < 0.01 * bound, kerr_ok=ratio < 0.5, stable=stable,
+    )

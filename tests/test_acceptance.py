@@ -32,6 +32,7 @@ from magsqueeze import (
     sweep,
     temperature_thresholds,
 )
+from magsqueeze.analysis import CONTRASTS, MEASURES
 
 from conftest import KAPPA_A, TWO_PI, make_params
 
@@ -47,14 +48,12 @@ PAIR_QUARTER = PhasePairing(0.5 * np.pi, 1.5 * np.pi)
 PAIR_AXIAL = PhasePairing(0.0, np.pi)
 
 
-def grid_array(result, attr: str) -> np.ndarray:
-    """Record field -> float array with None mapped to NaN, grid-shaped."""
+def grid_array(result, name: str) -> np.ndarray:
+    """The measure or contrast column ``name``, NaN where null, grid-shaped."""
     shape = tuple(len(g) for _, g in result.axes)
-    flat = [
-        np.nan if getattr(r, attr) is None else float(getattr(r, attr))
-        for r in result.records
-    ]
-    return np.asarray(flat, dtype=float).reshape(shape)
+    if name in MEASURES:
+        return result.measures[:, MEASURES.index(name)].reshape(shape)
+    return result.contrasts[:, CONTRASTS.index(name)].reshape(shape)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +136,7 @@ def grid_checks():
 
 def test_01_peak_magnon_phonon_entanglement(fig2):
     result, elapsed = fig2
-    e_mb = grid_array(result, "e_mb")
+    e_mb = grid_array(result, "E_mb")
     peak = float(np.nanmax(e_mb))
     assert 0.26 <= peak <= 0.40, f"peak E_mb = {peak:.4f}, target 0.33 +/- 0.07"
     assert elapsed < 60.0, f"61x61 sweep took {elapsed:.1f} s, budget 60 s"
@@ -152,7 +151,7 @@ def test_02_cavity_phonon_peak_location_and_mirror_null(fig2):
     of the row maximum) rather than by raw argmax position.
     """
     result, _ = fig2
-    e_ab = grid_array(result, "e_ab")
+    e_ab = grid_array(result, "E_ab")
     peak = float(np.nanmax(e_ab))
     assert 0.02 <= peak <= 0.06, f"peak E_ab = {peak:.4f}, target 0.04 +/- 0.02"
 
@@ -176,7 +175,7 @@ def test_02_cavity_phonon_peak_location_and_mirror_null(fig2):
 
 def test_03_cavity_magnon_peak_amplitude_location(fig2):
     result, _ = fig2
-    e_am = grid_array(result, "e_am")
+    e_am = grid_array(result, "E_am")
     flat_argmax = int(np.nanargmax(e_am))
     ups_at_peak = UPS_61[flat_argmax // 61]
     ratio = ups_at_peak / KAPPA_A
@@ -188,15 +187,15 @@ def test_03_cavity_magnon_peak_amplitude_location(fig2):
 
 def test_04_peak_tripartite_entanglement(fig2):
     result, _ = fig2
-    r_min = grid_array(result, "r_min")
+    r_min = grid_array(result, "R_min")
     peak = float(np.nanmax(r_min))
     assert 0.03 <= peak <= 0.07, f"peak R_min = {peak:.4f}, target 0.05 +/- 0.02"
 
 
 def test_05_amplitude_contrast_profile(fig3a):
-    c_am = grid_array(fig3a, "c_am")
-    c_ab = grid_array(fig3a, "c_ab")
-    c_mb = grid_array(fig3a, "c_mb")
+    c_am = grid_array(fig3a, "C_E_am")
+    c_ab = grid_array(fig3a, "C_E_ab")
+    c_mb = grid_array(fig3a, "C_E_mb")
     low = UPS_101 < 0.5 * KAPPA_A
     high = UPS_101 > KAPPA_A
     am_ideal = bool(np.any(c_am[low] >= 0.99))
@@ -381,7 +380,7 @@ def test_14_tripartite_entanglement_decays_with_temperature():
             [("temperature", TEMPS_300)],
             measures=["R_min"],
         )
-        values = grid_array(result, "r_min")
+        values = grid_array(result, "R_min")
         assert not np.any(np.isnan(values)), f"unstable points at theta = {theta}"
         rises[theta] = float(np.diff(values).max())
     report = ", ".join(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from magsqueeze import (
     ConfigError,
-    DerivedQuantities,
     InvalidInputError,
     ModePair,
     NoMeasuresError,
@@ -20,14 +19,14 @@ from magsqueeze import (
     build_drift,
     contrast_ratio,
     directional_measures,
+    evaluate,
     min_residual_contangle,
     steady_state,
     sweep,
     temperature_thresholds,
 )
-from magsqueeze import analysis, model
+from magsqueeze.analysis import CONTRASTS, MEASURES
 from magsqueeze.gaussian import CovarianceMatrix
-from magsqueeze.model import derive_many
 
 from conftest import KAPPA_A, TWO_PI, make_params
 
@@ -37,6 +36,11 @@ WORKING_POINT = dict(
     e_mb=0.3161324279493292,
     r_min=0.008450664041460804,
 )
+
+
+def measure(result: SweepResult, k: int, name: str) -> float:
+    """The measure ``name`` of point ``k`` of a sweep, NaN where null."""
+    return float(result.measures[k, MEASURES.index(name)])
 
 
 class TestContrastRatio:
@@ -187,36 +191,36 @@ class TestSweep:
         ups = [0.0, 0.5 * KAPPA_A, KAPPA_A]
         thetas = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]
         result = sweep(make_params(), [("upsilon", ups), ("theta", thetas)])
-        assert len(result.records) == 12
-        expected = [(u, t) for u in ups for t in thetas]
-        assert [r.axis_values for r in result.records] == expected
+        assert result.stable.shape == (12,) and result.measures.shape == (12, 4)
         assert result.axes[0][0] == "upsilon" and result.axes[1][0] == "theta"
+        assert result.axes[0][1].tolist() == ups and result.axes[1][1].tolist() == thetas
+        # Row k is the point (ups[k // 4], thetas[k % 4]).
+        points = [make_params(upsilon=u, theta=t) for u in ups for t in thetas]
+        np.testing.assert_allclose(result.measures, evaluate(points).measures, rtol=1e-12)
 
     def test_single_point_matches_direct_evaluation(self):
         result = sweep(make_params(), [("upsilon", [1.3 * KAPPA_A])])
-        record = result.records[0]
-        assert record.stable
-        assert record.e_mb == pytest.approx(WORKING_POINT["e_mb"], rel=1e-12)
-        assert record.r_min == pytest.approx(WORKING_POINT["r_min"], rel=1e-12)
+        assert result.stable[0]
+        assert measure(result, 0, "E_mb") == pytest.approx(WORKING_POINT["e_mb"], rel=1e-12)
+        assert measure(result, 0, "R_min") == pytest.approx(WORKING_POINT["r_min"], rel=1e-12)
 
     def test_deterministic(self):
         axes = [("upsilon", np.linspace(0.0, 1.5 * KAPPA_A, 5)), ("g_a", [TWO_PI * 4e6, TWO_PI * 5e6])]
         serial = sweep(make_params(), axes)
         again = sweep(make_params(), axes)
-        assert serial.records == again.records
+        for field in ("stable", "failed", "measures"):
+            np.testing.assert_array_equal(getattr(serial, field), getattr(again, field))
 
     def test_unstable_points_become_null_records(self):
         result = sweep(make_params(theta=1.5 * np.pi), [("upsilon", [KAPPA_A, 2.0 * KAPPA_A])])
-        good, bad = result.records
-        assert good.stable and good.e_mb is not None
-        assert not bad.stable
-        assert bad.e_am is None and bad.e_ab is None and bad.e_mb is None and bad.r_min is None
+        assert result.stable.tolist() == [True, False]
+        assert not np.isnan(measure(result, 0, "E_mb"))
+        assert np.isnan(result.measures[1]).all()
 
     def test_measure_selection(self):
         result = sweep(make_params(), [("upsilon", [KAPPA_A])], measures=["E_mb"])
-        record = result.records[0]
-        assert record.e_mb is not None
-        assert record.e_am is None and record.e_ab is None and record.r_min is None
+        assert not np.isnan(measure(result, 0, "E_mb"))
+        assert all(np.isnan(measure(result, 0, name)) for name in ("E_am", "E_ab", "R_min"))
 
     def test_pairing_fills_contrast_columns(self):
         result = sweep(
@@ -224,14 +228,15 @@ class TestSweep:
             [("upsilon", [0.5 * KAPPA_A, 1.3 * KAPPA_A])],
             pairing=PhasePairing(np.pi / 2, 1.5 * np.pi),
         )
-        for record in result.records:
-            assert record.c_am is not None and record.c_r is not None
-            assert record.backward_stable is True
+        c_am, c_mb, c_r = (result.contrasts[:, CONTRASTS.index(name)]
+                           for name in ("C_E_am", "C_E_mb", "C_R"))
+        assert not np.isnan(c_am).any() and not np.isnan(c_r).any()
+        assert result.backward_stable.tolist() == [True, True]
         direct = directional_measures(
             make_params(upsilon=1.3 * KAPPA_A), PhasePairing(np.pi / 2, 1.5 * np.pi)
         )
-        assert result.records[1].c_mb == pytest.approx(direct.c_mb, rel=1e-12)
-        assert result.records[1].e_mb == pytest.approx(direct.forward.e_mb, rel=1e-12)
+        assert c_mb[1] == pytest.approx(direct.c_mb, rel=1e-12)
+        assert measure(result, 1, "E_mb") == pytest.approx(direct.forward.e_mb, rel=1e-12)
 
     def test_pairing_with_both_sides_unstable_yields_null_record(self):
         result = sweep(
@@ -239,58 +244,9 @@ class TestSweep:
             [("upsilon", [2.0 * KAPPA_A])],
             pairing=PhasePairing(1.4 * np.pi, 1.6 * np.pi),
         )
-        record = result.records[0]
-        assert not record.stable and record.backward_stable is False
-        assert record.c_mb is None and record.e_mb is None
-
-    def test_validity_attachment(self):
-        driven = make_params(rabi=1.48e15, g_m=TWO_PI * 0.2, sphere_diameter=250e-6)
-        result = sweep(driven, [("upsilon", [KAPPA_A])], kerr_coefficient=TWO_PI * 6.4e-9)
-        assert result.records[0].validity is not None
-        assert result.records[0].validity.stable
-
-    def test_validity_reuses_the_sweep_derive(self, monkeypatch):
-        calls = []
-
-        def counted(points):
-            calls.append(len(points))
-            return derive_many(points)
-
-        monkeypatch.setattr(analysis, "derive_many", counted)
-        monkeypatch.setattr(model, "derive_many", counted)
-        driven = make_params(rabi=1.48e15, g_m=TWO_PI * 0.2, sphere_diameter=250e-6)
-        upsilons = list(np.linspace(0.1, 1.0, 10) * KAPPA_A)
-        result = sweep(driven, [("upsilon", upsilons)], kerr_coefficient=TWO_PI * 6.4e-9)
-        assert all(r.validity is not None for r in result.records)
-        assert calls == [10]
-
-    def test_validity_with_a_pairing_is_at_the_forward_phase(self, monkeypatch):
-        calls = []
-
-        def counted(points):
-            calls.append(len(points))
-            return derive_many(points)
-
-        monkeypatch.setattr(analysis, "derive_many", counted)
-        monkeypatch.setattr(model, "derive_many", counted)
-        # Base theta 3pi/2 is the backward phase, which loses stability at
-        # the top of the axis while the forward phase pi/2 stays stable.
-        driven = make_params(rabi=1.48e15, g_m=TWO_PI * 0.2, sphere_diameter=250e-6)
-        upsilons = list(np.linspace(0.2, 2.0, 10) * KAPPA_A)
-        result = sweep(
-            driven, [("upsilon", upsilons)], pairing=PhasePairing(np.pi / 2, 1.5 * np.pi),
-            kerr_coefficient=TWO_PI * 6.4e-9,
-        )
-        assert calls == [20]
-        records = result.records
-        assert records[-1].stable and records[-1].backward_stable is False
-        for record in records:
-            assert record.validity is not None
-            assert record.validity.stable == record.stable
-
-    def test_validity_skipped_without_drive(self):
-        result = sweep(make_params(), [("upsilon", [KAPPA_A])], kerr_coefficient=TWO_PI * 6.4e-9)
-        assert result.records[0].validity is None
+        assert not result.stable[0] and not result.backward_stable[0] and not result.failed[0]
+        assert np.isnan(result.contrasts[0, CONTRASTS.index("C_E_mb")])
+        assert np.isnan(measure(result, 0, "E_mb"))
 
     def test_rejects_bad_axes(self):
         p = make_params()
@@ -327,25 +283,21 @@ class TestSweep:
             sweep(make_params(), [("upsilon", [1.0])], measures=["E_xy"])
 
     def test_columns_need_no_per_point_objects(self, monkeypatch):
-        counts = {"SystemParams": 0, "DerivedQuantities": 0}
+        count = 0
+        original = SystemParams.__init__
 
-        def counting(cls):
-            original = cls.__init__
-
-            def init(self, *args, **kwargs):
-                counts[cls.__name__] += 1
-                original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", init)
+        def init(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            original(self, *args, **kwargs)
 
         base = make_params()
-        counting(SystemParams)
-        counting(DerivedQuantities)
+        monkeypatch.setattr(SystemParams, "__init__", init)
         axes = [("upsilon", np.linspace(0.0, 2.0 * KAPPA_A, 31)),
                 ("theta", np.linspace(0.0, TWO_PI, 31))]
         result = sweep(base, axes)
         # One SystemParams per axis extreme, for the axis validation.
-        assert counts == {"SystemParams": 4, "DerivedQuantities": 0}
+        assert count == 4
         assert result.stable.shape == (31 * 31,) and result.measures.shape == (31 * 31, 4)
 
 
@@ -356,7 +308,6 @@ def synthetic_temperature_result(values: list[float | None]) -> SweepResult:
     return SweepResult(
         axes=(("temperature", grid),),
         pairing=PhasePairing(0.0, np.pi),
-        base=make_params(),
         stable=stable,
         failed=np.zeros(len(values), dtype=bool),
         measures=np.full((len(values), 4), np.nan),

@@ -179,10 +179,11 @@ class TestSweep:
 
         from conftest import TWO_PI, make_params
         from magsqueeze import sweep as run_sweep
+        from magsqueeze.analysis import MEASURES
 
         grid = np.linspace(0.0, 3.0e6, 5) * TWO_PI
         direct = run_sweep(make_params(), [("upsilon", grid)])
-        expected = [r.e_mb for r in direct.records]
+        expected = direct.measures[:, MEASURES.index("E_mb")].tolist()
         assert table.column("E_mb") == expected  # repr round-trip is exact
 
     def test_byte_determinism(self, tmp_path, capsys):
@@ -237,6 +238,15 @@ class TestSweep:
         tree["sweep"]["axes"][0]["name"] = "kappa_a"
         cfg = write_config(tmp_path, tree)
         assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+
+    def test_config_axes_are_the_library_axes(self):
+        # The sweepable axes are listed twice: the library's names and the
+        # config's scale and column per name. An axis added to one list only
+        # would be rejected by the other.
+        from magsqueeze.analysis import SWEEP_AXES
+        from magsqueeze.config import _AXIS_COLUMNS
+
+        assert set(_AXIS_COLUMNS) == SWEEP_AXES
 
     def test_threads_below_one_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep_tree())

@@ -31,7 +31,7 @@ from magsqueeze import (
     sweep,
     symplectic_form,
 )
-from magsqueeze.analysis import _CHUNK
+from magsqueeze.analysis import CONTRASTS, _CHUNK
 from magsqueeze.errors import VERDICTS
 from magsqueeze.tableio import read_csv, sweep_table
 
@@ -163,10 +163,9 @@ class TestFailureIsolation:
             steady_state(edge_point)
 
         result = sweep(params, [("upsilon", [KAPPA_A, edge_point.upsilon])])
-        good, bad = result.records
-        assert good.stable and not good.failed
-        assert not bad.stable and bad.failed
-        assert bad.e_am is None and bad.r_min is None
+        assert result.stable.tolist() == [True, False]
+        assert result.failed.tolist() == [False, True]
+        assert np.isnan(result.measures[1]).all()
 
     def test_parametric_resonance_is_a_failed_row(self):
         params = driven_params()
@@ -175,8 +174,8 @@ class TestFailureIsolation:
             steady_state(replace(params, upsilon=u_res))
 
         result = sweep(params, [("upsilon", [0.5 * u_res, u_res]), ("g_a", [params.g_a])])
-        assert [r.failed for r in result.records] == [False, True]
-        assert result.records[0].stable
+        assert result.failed.tolist() == [False, True]
+        assert result.stable[0]
         assert ("failed_points", "1") in sweep_table(result).metadata
 
     def test_resonance_on_one_side_of_a_pairing_fails_the_row(self):
@@ -187,9 +186,10 @@ class TestFailureIsolation:
             directional_measures(replace(params, upsilon=u_res), pairing)
 
         result = sweep(params, [("upsilon", [0.5 * u_res, u_res])], pairing=pairing)
-        first, second = result.records
-        assert not first.failed and first.c_mb is not None
-        assert second.failed and second.c_mb is None and second.backward_stable is None
+        c_mb = result.contrasts[:, CONTRASTS.index("C_E_mb")]
+        assert result.failed.tolist() == [False, True]
+        assert not np.isnan(c_mb[0]) and np.isnan(c_mb[1])
+        assert not result.backward_stable[1]
 
     def test_mixed_grid_builds_no_exception_per_point(self, monkeypatch):
         # Stable, residual-failing (near the theta = pi/2 edge), resonant and

@@ -23,7 +23,7 @@ from magsqueeze import (
     total_spins,
     validity_report,
 )
-from magsqueeze.model import derive
+from magsqueeze.model import derive_many
 
 from conftest import BASE_PARAMS, KAPPA_A, TWO_PI, make_params
 
@@ -152,30 +152,39 @@ class TestSystemParams:
 
 class TestDerive:
     def test_direct_detunings_pass_through(self):
-        d = derive(make_params())
-        assert d.delta_a == BASE_PARAMS["delta_a"]
-        assert d.delta_m_bar == d.delta_m == BASE_PARAMS["delta_m"]
+        p = make_params()
+        assert build_drift(p)[0, 1] == BASE_PARAMS["delta_a"]
+        assert derive_many([p]).delta_m_bar[0] == BASE_PARAMS["delta_m"]
 
     def test_phase_split_identities(self):
         p = make_params(theta=0.73, upsilon=TWO_PI * 2.2e6)
-        d = derive(p)
-        assert d.delta_theta == p.upsilon * np.sin(p.theta)
-        assert d.kappa_theta == p.upsilon * np.cos(p.theta)
-        assert d.delta_theta_plus == d.delta_m_bar + d.delta_theta
-        assert d.delta_theta_minus == d.delta_m_bar - d.delta_theta
-        assert d.kappa_theta_plus == p.kappa_m + d.kappa_theta
-        assert d.kappa_theta_minus == p.kappa_m - d.kappa_theta
+        gamma, delta_m_bar = build_drift(p), derive_many([p]).delta_m_bar[0]
+        delta_theta, kappa_theta = p.upsilon * np.sin(p.theta), p.upsilon * np.cos(p.theta)
+        assert gamma[2, 3] == delta_m_bar + delta_theta
+        assert gamma[3, 2] == -(delta_m_bar - delta_theta)
+        assert gamma[2, 2] == -(p.kappa_m + kappa_theta)
+        assert gamma[3, 3] == -(p.kappa_m - kappa_theta)
 
     def test_undriven_point_leaves_amplitudes_unset(self):
-        d = derive(make_params())
-        assert d.m_s is None and d.q_s is None and d.omega_rabi is None
-        assert d.G_m_effective == complex(BASE_PARAMS["G_m"])
+        p = make_params()
+        assert np.isnan(derive_many([p]).m_s[0])
+        with pytest.raises(InvalidInputError):
+            steady_magnon_amplitude_exact(p)
+        assert effective_coupling(p) == complex(BASE_PARAMS["G_m"])
 
     def test_occupations(self):
-        d = derive(make_params())
-        assert d.n_b == pytest.approx(20.340618339036453, rel=1e-12)
-        assert d.n_m == pytest.approx(1.4359924589903149e-21, rel=1e-9)
-        assert d.n_a == d.n_m  # identical mode frequencies
+        p = make_params()
+        n_a, n_m, n_b = (
+            thermal_occupation(omega, p.temperature) for omega in (p.omega_a, p.omega_m, p.omega_b)
+        )
+        assert n_b == pytest.approx(20.340618339036453, rel=1e-12)
+        assert n_m == pytest.approx(1.4359924589903149e-21, rel=1e-9)
+        assert n_a == n_m  # identical mode frequencies
+        assert np.diag(build_diffusion(p)).tolist() == [
+            p.kappa_a * (2.0 * n_a + 1.0), p.kappa_a * (2.0 * n_a + 1.0),
+            p.kappa_m * (2.0 * n_m + 1.0), p.kappa_m * (2.0 * n_m + 1.0),
+            0.0, p.gamma_b * (2.0 * n_b + 1.0),
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -183,11 +192,14 @@ class TestDerive:
         upsilon=st.floats(0.0, 3.0 * KAPPA_A, allow_nan=False),
     )
     def test_split_sums_recover_bare_values(self, theta, upsilon):
-        d = derive(make_params(theta=theta, upsilon=upsilon))
-        assert d.delta_theta_plus + d.delta_theta_minus == pytest.approx(
-            2.0 * d.delta_m_bar, rel=1e-12
+        p = make_params(theta=theta, upsilon=upsilon)
+        gamma = build_drift(p)
+        # gamma[2, 3] and -gamma[3, 2] are the split detunings, -gamma[2, 2]
+        # and -gamma[3, 3] the split decays.
+        assert gamma[2, 3] - gamma[3, 2] == pytest.approx(
+            2.0 * derive_many([p]).delta_m_bar[0], rel=1e-12
         )
-        assert d.kappa_theta_plus + d.kappa_theta_minus == pytest.approx(
+        assert -(gamma[2, 2] + gamma[3, 3]) == pytest.approx(
             2.0 * BASE_PARAMS["kappa_m"], rel=1e-12
         )
 
@@ -221,10 +233,12 @@ class TestSteadyAmplitude:
             steady_magnon_amplitude_exact(p)
 
     def test_phonon_shift_lowers_amplitude_backaction(self):
-        d = derive(driven_params())
-        assert d.q_s == pytest.approx(-8212656.21821419, rel=1e-9)
-        assert d.q_s == pytest.approx(
-            -TWO_PI * 0.2 * abs(d.m_s) ** 2 / BASE_PARAMS["omega_b"], rel=1e-12
+        p = driven_params()
+        m_s = derive_many([p]).m_s[0]
+        q_s = -p.g_m * abs(m_s) ** 2 / p.omega_b
+        assert q_s == pytest.approx(-8212656.21821419, rel=1e-9)
+        assert q_s == pytest.approx(
+            -TWO_PI * 0.2 * abs(m_s) ** 2 / BASE_PARAMS["omega_b"], rel=1e-12
         )
 
 
@@ -264,9 +278,8 @@ class TestSelfConsistentDetuning:
         # G_m given directly: the drive frequency fixes the detunings with
         # no backaction shift.
         p = make_params(delta_a=None, delta_m=None, omega_0=TWO_PI * (10e9 - 10e6))
-        d = derive(p)
-        assert d.delta_a == pytest.approx(TWO_PI * 10e6, rel=1e-12)
-        assert d.delta_m_bar == d.delta_m
+        assert build_drift(p)[0, 1] == pytest.approx(TWO_PI * 10e6, rel=1e-12)
+        assert derive_many([p]).delta_m_bar[0] == p.omega_m - p.omega_0
 
     def test_fixed_point_property(self):
         shifted = SystemParams(
@@ -284,10 +297,11 @@ class TestSelfConsistentDetuning:
                 "sphere_diameter": DIAMETER,
             }
         )
-        d = derive(shifted)
-        q_s = -TWO_PI * 0.2 * abs(d.m_s) ** 2 / BASE_PARAMS["omega_b"]
-        assert d.delta_m_bar == pytest.approx(d.delta_m + TWO_PI * 0.2 * q_s, rel=1e-9)
-        assert d.delta_m_bar < d.delta_m  # backaction softens the detuning
+        d = derive_many([shifted])
+        delta_m, delta_m_bar = shifted.omega_m - shifted.omega_0, d.delta_m_bar[0]
+        q_s = -TWO_PI * 0.2 * abs(d.m_s[0]) ** 2 / BASE_PARAMS["omega_b"]
+        assert delta_m_bar == pytest.approx(delta_m + TWO_PI * 0.2 * q_s, rel=1e-9)
+        assert delta_m_bar < delta_m  # backaction softens the detuning
 
 
 class TestEffectiveCoupling:
