@@ -27,6 +27,8 @@ JOBS: tuple[tuple[str, str], ...] = (
     ("fig3c", "sweep"),
     ("fig6a", "sweep"),
     ("fig6c", "sweep"),
+    ("coupling_map_quarter", "sweep"),
+    ("coupling_map_axial", "sweep"),
     ("wigner", "wigner"),
 )
 

@@ -150,8 +150,7 @@ def _runners(src: Path):
         def once() -> dict[str, int]:
             elapsed.update(dict.fromkeys(STAGES, 0))
             start = time.perf_counter_ns()
-            result = analysis.sweep(run.params, axes=axes, pairing=spec.pairing,
-                                    measures=spec.measures)
+            result = analysis.sweep(run.params, axes=axes, pairing=spec.pairing)
             middle = time.perf_counter_ns()
             table = tableio.sweep_table(result, axis_columns=display)
             end = time.perf_counter_ns()

@@ -51,10 +51,8 @@ from .model import (
     ValidityReport,
     build_diffusion,
     build_drift,
-    effective_coupling,
     rabi_frequency,
     steady_magnon_amplitude_approx,
-    steady_magnon_amplitude_exact,
     thermal_occupation,
     total_spins,
     validity_report,
@@ -90,11 +88,9 @@ __all__ = [
     "thermal_occupation",
     "total_spins",
     "rabi_frequency",
-    "steady_magnon_amplitude_exact",
     "steady_magnon_amplitude_approx",
     "build_drift",
     "build_diffusion",
-    "effective_coupling",
     "validity_report",
     "StabilityReport",
     "stability",

@@ -82,26 +82,13 @@ _CHUNK: int = 64
 class ModePair(enum.Enum):
     """Bipartition labels of the three-mode state (cavity=0, magnon=1, phonon=2)."""
 
-    CAVITY_MAGNON = ("a-m", (0, 1))
-    CAVITY_PHONON = ("a-b", (0, 2))
-    MAGNON_PHONON = ("m-b", (1, 2))
-
-    @property
-    def label(self) -> str:
-        return self.value[0]
+    CAVITY_MAGNON = (0, 1)
+    CAVITY_PHONON = (0, 2)
+    MAGNON_PHONON = (1, 2)
 
     @property
     def indices(self) -> tuple[int, int]:
-        return self.value[1]
-
-    @classmethod
-    def from_label(cls, label: str) -> "ModePair":
-        for pair in cls:
-            if pair.label == label:
-                return pair
-        raise InvalidInputError(
-            f"unknown mode pair {label!r}; expected one of {[p.label for p in cls]}"
-        )
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -156,8 +143,8 @@ class SweepResult:
     ``stable`` is the verdict of the point's own (with a pairing, the forward)
     phase, False on ``failed`` points (see ``sweep``).  ``measures`` holds
     ``MEASURES`` and ``contrasts`` ``CONTRASTS`` per point, NaN where a value
-    is missing or not selected.  ``backward_stable`` and ``contrasts`` are None
-    without a pairing.
+    is missing.  ``backward_stable`` and ``contrasts`` are None without a
+    pairing.
     """
 
     axes: tuple[tuple[str, np.ndarray], ...]
@@ -201,10 +188,8 @@ class Evaluation:
     value: np.ndarray
 
 
-def evaluate(
-    points: Sequence[SystemParams] | ParamColumns, with_measures: bool = True
-) -> Evaluation:
-    """Steady states and, unless ``with_measures`` is False, measures of operating points.
+def evaluate(points: Sequence[SystemParams] | ParamColumns) -> Evaluation:
+    """Steady states and measures of operating points.
 
     One ``derive_many`` call covers all points and feeds the drift and
     diffusion stacks; stability, the Lyapunov solve and the measures run
@@ -226,14 +211,19 @@ def evaluate(
             gammas[solved], diffusions[solved]
         )
         steady = solved[code[solved] == OK]
-        if with_measures and steady.size:
+        if steady.size:
             measures[steady], code[steady], value[steady] = three_mode_measures(covariances[steady])
     return Evaluation(max_real, covariances, measures, code, value)
 
 
 def steady_state(params: SystemParams) -> CovarianceMatrix:
-    """Steady covariance matrix at one operating point (drift must be stable)."""
-    evaluation = evaluate([params], with_measures=False)
+    """Steady covariance matrix at one operating point.
+
+    Raises the exception of the point's verdict, the same one ``sweep`` and the
+    ``steady`` command give it: the drift must be stable, the Lyapunov solve
+    accurate, and the state physical and well-conditioned.
+    """
+    evaluation = evaluate([params])
     if evaluation.code[0]:
         raise verdict_error(evaluation.code[0], evaluation.value[0])
     return CovarianceMatrix(evaluation.covariances[0])
@@ -347,16 +337,13 @@ def sweep(
     params_base: SystemParams,
     axes: Sequence[tuple[str, Sequence[float]]],
     pairing: PhasePairing | None = None,
-    measures: Sequence[str] | None = None,
 ) -> SweepResult:
     """Evaluate steady-state measures over a 1-D or 2-D parameter grid.
 
     Axis names come from ``SWEEP_AXES`` and axis values are in the same
     units as the corresponding ``SystemParams`` fields.  With a pairing,
     every point is solved at both phases and contrast columns are filled;
-    the point's own measures are those of the forward phase.  ``measures``
-    selects a subset of ``MEASURES`` (None keeps all); unselected measures
-    are NaN.
+    the point's own measures are those of the forward phase.
 
     A point that is unstable, or that fails (parametric resonance in the
     steady amplitude, a Lyapunov residual above 1e-10, an unphysical
@@ -364,10 +351,6 @@ def sweep(
     Points are ordered row-major over the axes.
     """
     grid_axes = _validate_axes(params_base, axes, pairing)
-    selected = MEASURES if measures is None else tuple(measures)
-    unknown = sorted(set(selected) - set(MEASURES))
-    if unknown:
-        raise ConfigError(f"unknown measure selection: {unknown}")
 
     mesh = np.meshgrid(*(grid for _, grid in grid_axes), indexing="ij")
     swept = {name: axis.ravel() for (name, _), axis in zip(grid_axes, mesh)}
@@ -382,8 +365,7 @@ def sweep(
     shown = stable if backward_stable is None else stable | backward_stable
     if contrasts is not None:
         contrasts = np.where(shown[:, None], contrasts, np.nan)
-    kept = stable[:, None] & np.isin(MEASURES, selected)
-    forward = np.where(kept, evaluation.measures[::phases], np.nan)
+    forward = np.where(stable[:, None], evaluation.measures[::phases], np.nan)
 
     return SweepResult(
         axes=grid_axes, pairing=pairing, stable=stable, failed=failed,

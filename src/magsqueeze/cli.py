@@ -130,7 +130,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
         config.params,
         axes=[(axis.name, axis.si_values) for axis in spec.axes],
         pairing=spec.pairing,
-        measures=spec.measures,
     )
 
     metadata = _base_metadata(config, "sweep")

@@ -9,6 +9,7 @@ rejected rather than ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -16,7 +17,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 import yaml
 
-from .analysis import MEASURES, PhasePairing
+from .analysis import PhasePairing
 from .errors import ConfigError, InvalidInputError
 from .model import TWO_PI, SystemParams
 
@@ -101,7 +102,6 @@ class AxisSpec:
 class SweepSpec:
     axes: tuple[AxisSpec, ...]
     pairing: PhasePairing | None
-    measures: tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
 
 
 def _parse_sweep(raw: dict[str, Any]) -> SweepSpec:
-    _reject_unknown(raw, {"axes", "pairing", "measures"}, "sweep section")
+    _reject_unknown(raw, {"axes", "pairing"}, "sweep section")
     if "axes" not in raw or not isinstance(raw["axes"], Sequence) or isinstance(raw["axes"], str):
         raise ConfigError("sweep.axes must be a list of axis mappings")
     axes = tuple(_parse_axis(a, i) for i, a in enumerate(raw["axes"]))
@@ -233,16 +233,7 @@ def _parse_sweep(raw: dict[str, Any]) -> SweepSpec:
             )
         except InvalidInputError as exc:
             raise ConfigError(f"invalid sweep.pairing: {exc}") from exc
-
-    measures: tuple[str, ...] | None = None
-    if "measures" in raw and raw["measures"] is not None:
-        if not isinstance(raw["measures"], Sequence) or isinstance(raw["measures"], str):
-            raise ConfigError("sweep.measures must be a list of measure names")
-        bad = sorted(set(raw["measures"]) - set(MEASURES))
-        if bad:
-            raise ConfigError(f"unknown sweep measures: {bad}; valid: {list(MEASURES)}")
-        measures = tuple(raw["measures"])
-    return SweepSpec(axes=axes, pairing=pairing, measures=measures)
+    return SweepSpec(axes=axes, pairing=pairing)
 
 
 def _parse_wigner(raw: dict[str, Any]) -> WignerSpec:
@@ -260,8 +251,8 @@ def _parse_wigner(raw: dict[str, Any]) -> WignerSpec:
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise ConfigError("wigner.points_per_axis must be an integer >= 2")
     sigmas = _as_number(raw.get("extent_sigmas", 6.0), "wigner.extent_sigmas")
-    if sigmas <= 0.0:
-        raise ConfigError("wigner.extent_sigmas must be positive")
+    if not (math.isfinite(sigmas) and sigmas > 0.0):
+        raise ConfigError("wigner.extent_sigmas must be positive and finite")
     return WignerSpec(phases=phases, points_per_axis=points, extent_sigmas=sigmas)
 
 
@@ -326,8 +317,8 @@ def build_run_config(raw: Any, overrides: Sequence[str] = ()) -> RunConfig:
     kerr: float | None = None
     if "kerr_over_2pi_hz" in validate_block:
         kerr = TWO_PI * _as_number(validate_block["kerr_over_2pi_hz"], "kerr_over_2pi_hz")
-        if kerr < 0.0:
-            raise ConfigError("kerr_over_2pi_hz must be non-negative")
+        if not (math.isfinite(kerr) and kerr >= 0.0):
+            raise ConfigError("kerr_over_2pi_hz must be non-negative and finite")
 
     return RunConfig(
         params=params,

@@ -46,9 +46,6 @@ __all__ = [
     "check_physicality",
 ]
 
-# Residuals in [-CLAMP_TOL, 0) are treated as floating-point zeros.
-CLAMP_TOL: float = 1e-8
-
 # Uncertainty-relation slack accepted by check_physicality.
 PHYSICALITY_TOL: float = 1e-9
 
@@ -258,13 +255,13 @@ def contangle(v: CovarianceMatrix, partition: Partition) -> float:
     return log_negativity(v, partition) ** 2
 
 
-def residual_contangle(v: CovarianceMatrix, focus_mode: int, clamp: bool = False) -> float:
+def residual_contangle(v: CovarianceMatrix, focus_mode: int) -> float:
     """Residual tangle of a three-mode state with respect to ``focus_mode``.
 
     Computes ``C(i|jk) - C(i|j) - C(i|k)`` where ``C`` is the squared
     logarithmic negativity and ``i`` is the focus mode.  Monogamy requires
-    the result to be non-negative; tiny negative values of magnitude below
-    1e-8 are rounding noise and are clamped to zero when ``clamp=True``.
+    the result to be non-negative; it is returned unclamped, so rounding can
+    leave it slightly below zero.
     """
     if v.n_modes != 3:
         raise InvalidInputError(f"residual tangle requires exactly 3 modes, got {v.n_modes}")
@@ -273,10 +270,7 @@ def residual_contangle(v: CovarianceMatrix, focus_mode: int, clamp: bool = False
     others = [m for m in range(3) if m != focus_mode]
     total = contangle(v, Partition({focus_mode}, set(others)))
     split = sum(contangle(v, Partition({focus_mode}, {m})) for m in others)
-    residual = total - split
-    if clamp and -CLAMP_TOL <= residual < 0.0:
-        return 0.0
-    return residual
+    return total - split
 
 
 def min_residual_contangle(v: CovarianceMatrix) -> float:

@@ -36,11 +36,9 @@ __all__ = [
     "thermal_occupation",
     "total_spins",
     "rabi_frequency",
-    "steady_magnon_amplitude_exact",
     "steady_magnon_amplitude_approx",
     "build_drift",
     "build_diffusion",
-    "effective_coupling",
     "derive_many",
     "validity_report",
 ]
@@ -415,16 +413,6 @@ def _driven(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
     return columns, derived
 
 
-def steady_magnon_amplitude_exact(params: SystemParams) -> complex:
-    """Steady magnon amplitude from the full three-mode response.
-
-    Requires a drive amplitude (``rabi`` directly, or ``h_d`` with
-    ``sphere_diameter``).  Raises ``ParametricResonanceError`` when the
-    response denominator is within 1e-6 (relative) of zero.
-    """
-    return complex(_driven(params)[1].m_s[0])
-
-
 def steady_magnon_amplitude_approx(params: SystemParams) -> complex:
     """Large-detuning approximation of the steady magnon amplitude.
 
@@ -449,22 +437,6 @@ def steady_magnon_amplitude_approx(params: SystemParams) -> complex:
         )
     numerator = params.upsilon * np.exp(1j * params.theta) + 1j * eta
     return complex(numerator / denominator * float(columns["omega_rabi"][0]))
-
-
-def effective_coupling(params: SystemParams) -> complex:
-    """Effective magnomechanical coupling.
-
-    With a direct ``G_m`` it is returned unchanged (as a real complex
-    number); otherwise it is ``i sqrt(2) g_m m_s``.
-    """
-    columns, derived = _one(params)
-    if params.G_m is not None:
-        return complex(params.G_m)
-    if np.isnan(columns["omega_rabi"][0]):
-        raise InvalidInputError(
-            "effective coupling needs G_m, or g_m with a drive to form the steady amplitude"
-        )
-    return 1j * math.sqrt(2.0) * params.g_m * complex(derived.m_s[0])
 
 
 def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.float64]:

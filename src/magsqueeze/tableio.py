@@ -58,20 +58,17 @@ def _format_cell(value: Cell) -> str:
 
 def sweep_table(
     result: SweepResult,
-    axis_columns: Sequence[tuple[str, Sequence[float]]] | None = None,
+    axis_columns: Sequence[tuple[str, Sequence[float]]],
     extra_metadata: Sequence[tuple[str, str]] = (),
 ) -> ResultTable:
     """Flatten a SweepResult into a table.
 
-    ``axis_columns`` optionally renames the axis columns and substitutes
-    display-unit grids (one per axis, same lengths as the sweep grids);
-    without it the sweep's own axis names and values are used.  The
-    metadata counts stable and unstable points, and failed points when
-    there are any.
+    ``axis_columns`` names the axis columns and gives their display-unit
+    grids (one per axis, same lengths as the sweep grids).  The metadata
+    counts stable and unstable points, and failed points when there are
+    any.
     """
-    if axis_columns is None:
-        axis_columns = result.axes
-    elif len(axis_columns) != len(result.axes) or any(
+    if len(axis_columns) != len(result.axes) or any(
         len(grid) != len(axis) for (_, grid), (_, axis) in zip(axis_columns, result.axes)
     ):
         raise InvalidInputError("axis_columns must match the sweep axes in count and length")

@@ -378,7 +378,6 @@ def test_14_tripartite_entanglement_decays_with_temperature():
         result = sweep(
             make_params(upsilon=UPS_FIG6, theta=theta),
             [("temperature", TEMPS_300)],
-            measures=["R_min"],
         )
         values = grid_array(result, "R_min")
         assert not np.any(np.isnan(values)), f"unstable points at theta = {theta}"

@@ -26,7 +26,6 @@ from magsqueeze import (
     symplectic_form,
     wigner_single_mode,
 )
-from magsqueeze.gaussian import CLAMP_TOL
 
 from conftest import TWO_PI, make_params
 
@@ -277,19 +276,6 @@ class TestContangle:
         assume(state is not None)
         for focus in range(3):
             assert residual_contangle(state, focus) >= -1e-8
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=seeds)
-    def test_clamp_semantics(self, seed):
-        state = random_stable_state(seed)
-        assume(state is not None)
-        for focus in range(3):
-            raw = residual_contangle(state, focus)
-            clamped = residual_contangle(state, focus, clamp=True)
-            if -CLAMP_TOL <= raw < 0.0:
-                assert clamped == 0.0
-            else:
-                assert clamped == raw
 
     def test_min_residual_floor_at_zero(self):
         state = random_stable_state(11)

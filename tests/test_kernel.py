@@ -176,7 +176,7 @@ class TestFailureIsolation:
         result = sweep(params, [("upsilon", [0.5 * u_res, u_res]), ("g_a", [params.g_a])])
         assert result.failed.tolist() == [False, True]
         assert result.stable[0]
-        assert ("failed_points", "1") in sweep_table(result).metadata
+        assert ("failed_points", "1") in sweep_table(result, result.axes).metadata
 
     def test_resonance_on_one_side_of_a_pairing_fails_the_row(self):
         pairing = PhasePairing(0.5 * np.pi, 1.5 * np.pi)

@@ -15,14 +15,13 @@ from magsqueeze import (
     SystemParams,
     build_diffusion,
     build_drift,
-    effective_coupling,
     rabi_frequency,
     steady_magnon_amplitude_approx,
-    steady_magnon_amplitude_exact,
     thermal_occupation,
     total_spins,
     validity_report,
 )
+from magsqueeze.errors import RESONANCE
 from magsqueeze.model import derive_many
 
 from conftest import BASE_PARAMS, KAPPA_A, TWO_PI, make_params
@@ -168,9 +167,7 @@ class TestDerive:
     def test_undriven_point_leaves_amplitudes_unset(self):
         p = make_params()
         assert np.isnan(derive_many([p]).m_s[0])
-        with pytest.raises(InvalidInputError):
-            steady_magnon_amplitude_exact(p)
-        assert effective_coupling(p) == complex(BASE_PARAMS["G_m"])
+        assert -build_drift(p)[2, 4] == BASE_PARAMS["G_m"]
 
     def test_occupations(self):
         p = make_params()
@@ -206,7 +203,7 @@ class TestDerive:
 
 class TestSteadyAmplitude:
     def test_frozen_working_point(self):
-        m_s = steady_magnon_amplitude_exact(driven_params())
+        m_s = derive_many([driven_params()]).m_s[0]
         assert m_s == pytest.approx(5993054.908254709 - 19357585.174224436j, rel=1e-12)
         assert abs(m_s) == pytest.approx(20264076.85809323, rel=1e-12)
 
@@ -214,13 +211,13 @@ class TestSteadyAmplitude:
         # With no squeezing and no cavity coupling the magnon responds as a
         # bare damped mode: m_s = drive / (kappa_m + i delta_m).
         p = driven_params(upsilon=0.0, g_a=0.0)
-        m_s = steady_magnon_amplitude_exact(p)
+        m_s = derive_many([p]).m_s[0]
         expected = DRIVE / (p.kappa_m + 1j * TWO_PI * 10e6)
         assert m_s == pytest.approx(expected, rel=1e-12)
 
     def test_requires_drive(self):
-        with pytest.raises(InvalidInputError):
-            steady_magnon_amplitude_exact(make_params())
+        with pytest.raises(InvalidInputError, match="requires a drive"):
+            steady_magnon_amplitude_approx(make_params())
 
     def test_parametric_resonance_detected(self):
         # g_a = 0 makes the critical squeezing analytic:
@@ -229,8 +226,9 @@ class TestSteadyAmplitude:
         kappa_m = TWO_PI * 0.6e6
         critical = float(np.hypot(kappa_m, delta_m))
         p = driven_params(g_a=0.0, kappa_m=kappa_m, upsilon=critical)
+        assert derive_many([p]).code[0] == RESONANCE
         with pytest.raises(ParametricResonanceError):
-            steady_magnon_amplitude_exact(p)
+            build_drift(p)
 
     def test_phonon_shift_lowers_amplitude_backaction(self):
         p = driven_params()
@@ -246,7 +244,7 @@ class TestApproximateAmplitude:
     def test_agrees_with_exact_at_large_detuning(self):
         p = driven_params(kappa_a=TWO_PI * 1e3, kappa_m=TWO_PI * 1e3, upsilon=TWO_PI * 1e6,
                           theta=0.7)
-        exact = steady_magnon_amplitude_exact(p)
+        exact = derive_many([p]).m_s[0]
         approx = steady_magnon_amplitude_approx(p)
         assert abs(approx - exact) / abs(exact) < 1e-3
 
@@ -305,15 +303,16 @@ class TestSelfConsistentDetuning:
 
 
 class TestEffectiveCoupling:
+    # The drift matrix holds the effective coupling as -gamma[2, 4] = gamma[5, 3].
     def test_direct_value_passes_through(self):
-        assert effective_coupling(make_params()) == complex(BASE_PARAMS["G_m"])
+        assert -build_drift(make_params())[2, 4] == BASE_PARAMS["G_m"]
 
     def test_built_from_steady_amplitude(self):
         p = driven_params(G_m=None)
-        g = effective_coupling(p)
-        m_s = steady_magnon_amplitude_exact(p)
-        assert g == pytest.approx(1j * np.sqrt(2.0) * TWO_PI * 0.2 * m_s, rel=1e-12)
-        assert abs(g) / TWO_PI == pytest.approx(5731546.464337245, rel=1e-9)
+        g = -build_drift(p)[2, 4]
+        m_s = derive_many([p]).m_s[0]
+        assert g == pytest.approx(np.sqrt(2.0) * TWO_PI * 0.2 * abs(m_s), rel=1e-12)
+        assert g / TWO_PI == pytest.approx(5731546.464337245, rel=1e-9)
 
     def test_nominal_amplitude_reproduces_quoted_coupling(self):
         # sqrt(2) * g_m * |m_s| with |m_s| = 1.69e7 lands on the quoted
@@ -324,7 +323,7 @@ class TestEffectiveCoupling:
         bare = dict(BASE_PARAMS)
         del bare["G_m"]
         with pytest.raises(InvalidInputError):
-            effective_coupling(SystemParams(**bare, g_m=TWO_PI * 0.2))
+            build_drift(SystemParams(**bare, g_m=TWO_PI * 0.2))
 
 
 class TestDrift:

@@ -3,7 +3,8 @@
 Byte identity of the CSV files only holds on one platform, so each
 dataset is recomputed through the library and compared by value: the
 null (unstable) pattern must match exactly and every measure must agree
-within ``ATOL``.  fig2 is checked at every other point of both axes.
+within ``ATOL``.  fig2 and the two coupling maps are checked at every
+other point of both axes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # Regenerated values agree with results/ to about 3e-13 across platforms.
 ATOL = 1e-12
 
-CASES = {"fig2": 2, "fig3a": 1, "fig3c": 1, "fig6a": 1, "fig6c": 1}
+CASES = {
+    "fig2": 2, "fig3a": 1, "fig3c": 1, "fig6a": 1, "fig6c": 1,
+    "coupling_map_quarter": 2, "coupling_map_axial": 2,
+}
 
 
 def as_array(rows: list[tuple], columns: list[str], names: list[str]) -> np.ndarray:
@@ -42,9 +46,10 @@ def test_sweep_matches_bundled_results(name):
         config.params,
         axes=[(axis.name, axis.si_values[::step]) for axis in spec.axes],
         pairing=spec.pairing,
-        measures=spec.measures,
     )
-    got = sweep_table(result)
+    got = sweep_table(
+        result, [(axis.column_name, axis.display_values[::step]) for axis in spec.axes]
+    )
     stored = read_csv(ROOT / "results" / name / "sweep.csv")
 
     # Row-major indices of the regenerated points in the stored full grid.
@@ -52,7 +57,7 @@ def test_sweep_matches_bundled_results(name):
     kept = np.ravel_multi_index(
         np.meshgrid(*[np.arange(0, n, step) for n in shape], indexing="ij"), shape
     ).reshape(-1)
-    names = [c for c in got.columns if c not in [axis.name for axis in spec.axes]]
+    names = [c for c in got.columns if c not in [axis.column_name for axis in spec.axes]]
     want = as_array([stored.rows[k] for k in kept], stored.columns, names)
     have = as_array(got.rows, got.columns, names)
 

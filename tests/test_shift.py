@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from magsqueeze import ParametricResonanceError, SystemParams, cli, steady_magnon_amplitude_exact
+from magsqueeze import ParametricResonanceError, SystemParams, cli
 from magsqueeze.analysis import _CHUNK
 from magsqueeze.model import _brentq, derive_many
 
@@ -175,8 +175,9 @@ def test_single_point_derive_is_the_batch_of_one():
     points = [replace(DRIVEN, upsilon=float(u), theta=1.5 * np.pi) for u in UPSILON_AXIS[15:]]
     batch = derive_many(points)
     for k, p in enumerate(points):
-        assert derive_many([p]).delta_m_bar[0] == batch.delta_m_bar[k]
-        assert steady_magnon_amplitude_exact(p) == batch.m_s[k]
+        one = derive_many([p])
+        assert one.delta_m_bar[0] == batch.delta_m_bar[k]
+        assert one.m_s[0] == batch.m_s[k]
 
 
 def test_pole_on_a_fixed_point_trial_no_longer_fails_the_point():

@@ -106,7 +106,7 @@ def config_states(name: str, picks: dict[str, list[int]]) -> list[CovarianceMatr
     if pairing is not None:
         points = [replace(p, theta=theta) for p in points
                   for theta in (pairing.theta_forward, pairing.theta_backward)]
-    evaluation = evaluate(points, with_measures=False)
+    evaluation = evaluate(points)
     return [CovarianceMatrix(c) for c in evaluation.covariances[evaluation.code == OK]]
 
 
@@ -140,7 +140,7 @@ def test_ill_conditioned_states_match_exact_spectra():
                     g_a=0.2 * TWO_PI * 4.8e6, G_m=0.02 * TWO_PI * 4.8e6)
         for upsilon in (3.15, 3.25, 3.3)
     ]
-    evaluation = evaluate(points, with_measures=False)
+    evaluation = evaluate(points)
     assert (evaluation.code == OK).all()
     states = [CovarianceMatrix(c) for c in evaluation.covariances]
     assert min(conditioning(v) for v in states) > 1e3
@@ -162,7 +162,7 @@ def test_drawn_physical_states_match_exact_spectra(upsilon, theta, g_a, temperat
     params = make_params(
         upsilon=upsilon * KAPPA_A, theta=theta, g_a=g_a * KAPPA_A, temperature=temperature
     )
-    evaluation = evaluate([params], with_measures=False)
+    evaluation = evaluate([params])
     if evaluation.code[0] == OK:
         assert_spectra_match_exact([steady_state(params)])
 
