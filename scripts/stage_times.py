@@ -154,7 +154,7 @@ def _runners(src: Path):
             middle = time.perf_counter_ns()
             table = tableio.sweep_table(result, axis_columns=display)
             end = time.perf_counter_ns()
-            assert len(table.rows) == workload.rows
+            assert len(table.columns["stable"]) == workload.rows
             elapsed["sweep_other"] = middle - start - sum(elapsed[n] for n in WRAPPED)
             elapsed["sweep_table"], elapsed["total"] = end - middle, end - start
             return dict(elapsed)

@@ -148,7 +148,6 @@ class SweepResult:
     """
 
     axes: tuple[tuple[str, np.ndarray], ...]
-    pairing: PhasePairing | None
     stable: np.ndarray
     failed: np.ndarray
     measures: np.ndarray
@@ -368,7 +367,7 @@ def sweep(
     forward = np.where(stable[:, None], evaluation.measures[::phases], np.nan)
 
     return SweepResult(
-        axes=grid_axes, pairing=pairing, stable=stable, failed=failed,
+        axes=grid_axes, stable=stable, failed=failed,
         measures=forward, backward_stable=backward_stable, contrasts=contrasts,
     )
 

@@ -112,8 +112,7 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
         out = _writable_dir(out_dir)
         labels = ["x_a", "p_a", "x_m", "p_m", "q", "p"]
         table = ResultTable(
-            columns=labels,
-            rows=[tuple(float(x) for x in row) for row in evaluation.covariances[0]],
+            columns=dict(zip(labels, evaluation.covariances[0].T.tolist())),
             metadata=_base_metadata(config, "steady"),
         )
         _write(table, out / "covariance", fmt, "covariance written to")
@@ -182,8 +181,8 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
         metadata = _base_metadata(config, "wigner")
         metadata.append(("theta_rad", repr(float(theta))))
         metadata.append(("normalization_integral", repr(norm)))
-        rows = [tuple(row) for row in np.column_stack([points, w]).tolist()]
-        table = ResultTable(columns=["x", "y", "W"], rows=rows, metadata=metadata)
+        columns = {"x": points[:, 0].tolist(), "y": points[:, 1].tolist(), "W": w.tolist()}
+        table = ResultTable(columns=columns, metadata=metadata)
         _write(table, out / f"wigner_theta_{_phase_tag(theta)}pi", fmt)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 import yaml
 
-from .analysis import PhasePairing
+from .analysis import SWEEP_AXES, PhasePairing
 from .errors import ConfigError, InvalidInputError
 from .model import TWO_PI, SystemParams
 
@@ -70,16 +70,12 @@ REQUIRED_PARAM_KEYS: tuple[str, ...] = (
 
 _SECTIONS = ("parameters", "sweep", "wigner", "steady", "validate")
 
-# axis name -> (scale to SI, output column name)
+# axis name -> (scale to SI, output column name): the library's sweep axes,
+# each named, scaled and reported as its parameter key, and temperature in K.
 _AXIS_COLUMNS: dict[str, tuple[float, str]] = {
-    "upsilon": (TWO_PI, "upsilon_over_2pi_hz"),
-    "g_a": (TWO_PI, "g_a_over_2pi_hz"),
-    "G_m": (TWO_PI, "G_m_over_2pi_hz"),
-    "delta_a": (TWO_PI, "delta_a_over_2pi_hz"),
-    "delta_m": (TWO_PI, "delta_m_over_2pi_hz"),
-    "theta": (1.0, "theta_rad"),
-    "temperature": (1.0, "temperature_K"),
+    name: (scale, key) for key, (name, scale) in PARAM_KEYS.items() if name in SWEEP_AXES
 }
+_AXIS_COLUMNS["temperature"] = (1.0, "temperature_K")
 
 _DEFAULT_WIGNER_PHASES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 

@@ -7,7 +7,6 @@ therefore produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -26,26 +25,18 @@ _INT_COLUMNS = {"stable"}
 
 @dataclass
 class ResultTable:
-    """Column-named rows plus ordered metadata key/value pairs."""
+    """Named columns of equal length plus ordered metadata key/value pairs."""
 
-    columns: list[str]
-    rows: list[tuple[Cell, ...]]
+    columns: dict[str, list[Cell]]
     metadata: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
+        lengths = [len(cells) for cells in self.columns.values()]
+        for name, length in zip(self.columns, lengths):
+            if length != lengths[0]:
                 raise InvalidInputError(
-                    f"row {i} has {len(row)} cells, expected {width}"
+                    f"column {name!r} has {length} cells, expected {lengths[0]}"
                 )
-
-    def column(self, name: str) -> list[Cell]:
-        try:
-            k = self.columns.index(name)
-        except ValueError:
-            raise InvalidInputError(f"no column named {name!r}") from None
-        return [row[k] for row in self.rows]
 
 
 def _format_cell(value: Cell) -> str:
@@ -74,13 +65,15 @@ def sweep_table(
         raise InvalidInputError("axis_columns must match the sweep axes in count and length")
 
     mesh = np.meshgrid(*(np.asarray(grid, dtype=float) for _, grid in axis_columns), indexing="ij")
-    columns = [name for name, _ in axis_columns] + ["stable", *MEASURES]
-    cells: list[list[Cell]] = [axis.ravel().tolist() for axis in mesh]
-    cells.append(result.stable.astype(int).tolist())
-    cells += [_nullable(values) for values in result.measures.T]
+    columns: dict[str, list[Cell]] = {
+        name: axis.ravel().tolist() for (name, _), axis in zip(axis_columns, mesh)
+    }
+    columns["stable"] = result.stable.astype(int).tolist()
+    for name, values in zip(MEASURES, result.measures.T):
+        columns[name] = _nullable(values)
     if result.contrasts is not None:
-        columns += CONTRASTS
-        cells += [_nullable(values) for values in result.contrasts.T]
+        for name, values in zip(CONTRASTS, result.contrasts.T):
+            columns[name] = _nullable(values)
 
     n_stable = int(result.stable.sum())
     metadata = list(extra_metadata)
@@ -89,26 +82,21 @@ def sweep_table(
     n_failed = int(result.failed.sum())
     if n_failed:
         metadata.append(("failed_points", str(n_failed)))
-    return ResultTable(columns=columns, rows=list(zip(*cells)), metadata=metadata)
-
-
-def to_csv_text(table: ResultTable) -> str:
-    lines = [f"# {key} = {value}" for key, value in table.metadata]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    return ResultTable(columns=columns, metadata=metadata)
 
 
 def write_csv(table: ResultTable, path: str | Path) -> None:
-    Path(path).write_text(to_csv_text(table), encoding="utf-8", newline="\n")
+    lines = [f"# {key} = {value}" for key, value in table.metadata]
+    lines.append(",".join(table.columns))
+    for row in zip(*table.columns.values()):
+        lines.append(",".join(map(_format_cell, row)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_csv(path: str | Path) -> ResultTable:
     """Parse a file written by write_csv back into a ResultTable."""
     metadata: list[tuple[str, str]] = []
-    columns: list[str] | None = None
-    rows: list[tuple[Cell, ...]] = []
+    columns: dict[str, list[Cell]] | None = None
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line:
             continue
@@ -118,31 +106,26 @@ def read_csv(path: str | Path) -> ResultTable:
             metadata.append((key, value))
             continue
         if columns is None:
-            columns = line.split(",")
+            names = line.split(",")
+            columns = {name: [] for name in names}
+            if len(columns) != len(names):
+                raise InvalidInputError(f"{path} repeats a column name: {line}")
             continue
-        cells: list[Cell] = []
-        for name, text in zip(columns, line.split(",")):
+        for (name, cells), text in zip(columns.items(), line.split(",")):
             if text == "":
                 cells.append(None)
             elif name in _INT_COLUMNS:
                 cells.append(int(text))
             else:
                 cells.append(float(text))
-        rows.append(tuple(cells))
     if columns is None:
         raise InvalidInputError(f"{path} has no header row")
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
-
-
-def to_json_text(table: ResultTable) -> str:
-    payload = {
-        "metadata": {key: value for key, value in table.metadata},
-        "columns": {
-            name: [row[k] for row in table.rows] for k, name in enumerate(table.columns)
-        },
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return ResultTable(columns=columns, metadata=metadata)
 
 
 def write_json(table: ResultTable, path: str | Path) -> None:
-    Path(path).write_text(to_json_text(table), encoding="utf-8", newline="\n")
+    # Imported here: only --format json needs it, and every launch imports this module.
+    import json
+
+    payload = {"metadata": dict(table.metadata), "columns": table.columns}
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")

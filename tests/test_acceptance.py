@@ -392,10 +392,10 @@ def _wigner_moments(path: Path) -> tuple[float, np.ndarray]:
     from magsqueeze.tableio import read_csv
 
     table = read_csv(path)
-    n = int(round(len(table.rows) ** 0.5))
-    x = np.asarray(table.column("x"), dtype=float).reshape(n, n)
-    y = np.asarray(table.column("y"), dtype=float).reshape(n, n)
-    w = np.asarray(table.column("W"), dtype=float).reshape(n, n)
+    n = int(round(len(table.columns["W"]) ** 0.5))
+    x = np.asarray(table.columns["x"], dtype=float).reshape(n, n)
+    y = np.asarray(table.columns["y"], dtype=float).reshape(n, n)
+    w = np.asarray(table.columns["W"], dtype=float).reshape(n, n)
     axis = x[:, 0]
     assert np.allclose(y[0, :], axis), "grid is not square"
 

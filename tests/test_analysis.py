@@ -290,7 +290,6 @@ def synthetic_temperature_result(values: list[float | None]) -> SweepResult:
     stable = ~np.isnan(contrast)
     return SweepResult(
         axes=(("temperature", grid),),
-        pairing=PhasePairing(0.0, np.pi),
         stable=stable,
         failed=np.zeros(len(values), dtype=bool),
         measures=np.full((len(values), 4), np.nan),

@@ -73,8 +73,8 @@ class TestSteady:
         out_dir = tmp_path / "out"
         assert cli.main(["steady", "--config", cfg, "--output", str(out_dir)]) == 0
         table = read_csv(out_dir / "covariance.csv")
-        assert table.columns == ["x_a", "p_a", "x_m", "p_m", "q", "p"]
-        matrix = np.array(table.rows, dtype=float)
+        assert list(table.columns) == ["x_a", "p_a", "x_m", "p_m", "q", "p"]
+        matrix = np.array(list(table.columns.values()), dtype=float).T
         assert matrix.shape == (6, 6)
         np.testing.assert_array_equal(matrix, matrix.T)
 
@@ -182,11 +182,11 @@ class TestSweep:
         out_dir = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--output", str(out_dir)]) == 0
         table = read_csv(out_dir / "sweep.csv")
-        assert len(table.rows) == 5
-        assert table.column("upsilon_over_2pi_hz") == pytest.approx(
+        assert len(table.columns["stable"]) == 5
+        assert table.columns["upsilon_over_2pi_hz"] == pytest.approx(
             list(np.linspace(0.0, 3.0e6, 5))
         )
-        assert all(s == 1 for s in table.column("stable"))
+        assert all(s == 1 for s in table.columns["stable"])
 
         from conftest import TWO_PI, make_params
         from magsqueeze import sweep as run_sweep
@@ -195,7 +195,7 @@ class TestSweep:
         grid = np.linspace(0.0, 3.0e6, 5) * TWO_PI
         direct = run_sweep(make_params(), [("upsilon", grid)])
         expected = direct.measures[:, MEASURES.index("E_mb")].tolist()
-        assert table.column("E_mb") == expected  # repr round-trip is exact
+        assert table.columns["E_mb"] == expected  # repr round-trip is exact
 
     def test_byte_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep_tree())
@@ -213,7 +213,7 @@ class TestSweep:
         assert code == 0
         payload = json.loads((out_dir / "sweep.json").read_text())
         table = read_csv(out_dir / "sweep.csv")
-        assert payload["columns"]["E_mb"] == table.column("E_mb")
+        assert payload["columns"]["E_mb"] == table.columns["E_mb"]
         assert "stable_points" in payload["metadata"]
 
     def test_pairing_adds_contrast_columns_and_zones(self, tmp_path, capsys):
@@ -231,7 +231,7 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--output", str(out_dir)]) == 0
         table = read_csv(out_dir / "sweep.csv")
         assert "C_E_am" in table.columns
-        assert table.column("temperature_K") == pytest.approx([0.001, 0.0105, 0.020])
+        assert table.columns["temperature_K"] == pytest.approx([0.001, 0.0105, 0.020])
         keys = {key for key, _ in table.metadata}
         assert "pairing" in keys
         assert "ideal_zone C_E_am" in keys
@@ -243,9 +243,9 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
     def test_config_axes_are_the_library_axes(self):
-        # The sweepable axes are listed twice: the library's names and the
-        # config's scale and column per name. An axis added to one list only
-        # would be rejected by the other.
+        # The config builds its scale and column per axis from the library's
+        # axis names and its parameter keys; every library axis must be
+        # reachable from a config file, and the config must offer no other.
         from magsqueeze.analysis import SWEEP_AXES
         from magsqueeze.config import _AXIS_COLUMNS
 
@@ -278,9 +278,9 @@ class TestWigner:
         assert cli.main(["wigner", "--config", cfg, "--output", str(out_dir)]) == 0
         for tag in ("0", "0p5"):
             table = read_csv(out_dir / f"wigner_theta_{tag}pi.csv")
-            assert table.columns == ["x", "y", "W"]
-            assert len(table.rows) == 41 * 41
-            w = np.array(table.column("W"), dtype=float)
+            assert list(table.columns) == ["x", "y", "W"]
+            assert len(table.columns["W"]) == 41 * 41
+            w = np.array(table.columns["W"], dtype=float)
             assert np.all(w >= 0.0)
             meta = dict(table.metadata)
             assert float(meta["normalization_integral"]) == pytest.approx(1.0, abs=1e-3)

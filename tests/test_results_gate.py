@@ -16,7 +16,7 @@ import pytest
 
 from magsqueeze import sweep
 from magsqueeze.config import load_config
-from magsqueeze.tableio import read_csv, sweep_table
+from magsqueeze.tableio import ResultTable, read_csv, sweep_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,12 +29,12 @@ CASES = {
 }
 
 
-def as_array(rows: list[tuple], columns: list[str], names: list[str]) -> np.ndarray:
-    """The named columns of ``rows`` as floats, with empty cells as NaN."""
-    index = [columns.index(name) for name in names]
+def as_array(table: ResultTable, names: list[str]) -> np.ndarray:
+    """The named columns of ``table`` as floats, one row per point, with empty cells as NaN."""
     return np.array(
-        [[np.nan if row[k] is None else float(row[k]) for k in index] for row in rows]
-    )
+        [[np.nan if cell is None else float(cell) for cell in table.columns[name]]
+         for name in names]
+    ).T
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -58,9 +58,9 @@ def test_sweep_matches_bundled_results(name):
         np.meshgrid(*[np.arange(0, n, step) for n in shape], indexing="ij"), shape
     ).reshape(-1)
     names = [c for c in got.columns if c not in [axis.column_name for axis in spec.axes]]
-    want = as_array([stored.rows[k] for k in kept], stored.columns, names)
-    have = as_array(got.rows, got.columns, names)
+    want = as_array(stored, names)[kept]
+    have = as_array(got, names)
 
-    assert len(got.rows) == len(kept)
+    assert len(got.columns["stable"]) == len(kept)
     np.testing.assert_array_equal(np.isnan(have), np.isnan(want))
     np.testing.assert_allclose(have, want, rtol=0.0, atol=ATOL, equal_nan=True)
