@@ -2,12 +2,14 @@
 
 By default, runs the seed-0 input of each benchmark workload
 (``perfbench/workloads.py``, read only) through ``analysis.sweep`` and
-``tableio.sweep_table``, as the ``sweep`` command does, and times the stages
-of the operating-point path:
+``tableio.sweep_table`` and ``tableio.write_csv`` (into a temporary
+directory), as the ``sweep`` command does, and times the stages of the
+operating-point path:
 ``derive_many``, ``drift_stack``, ``diffusion_stack``, ``steady_stack`` and
 ``three_mode_measures`` are wrapped in timers where ``magsqueeze.analysis``
-binds them, from outside the package, and the table build is timed around
-its call.  ``sweep_other`` is the rest of ``sweep``.  Every stage is reported
+binds them, from outside the package, and the table build and the CSV write
+are timed around their calls.  ``sweep_other`` is the rest of ``sweep``, and
+``total`` runs from the sweep to the written file.  Every stage is reported
 as the median and quartiles over the repeats, in microseconds per table row.
 
 With ``--launch``, each repeat is instead one full ``magsqueeze sweep`` CLI
@@ -55,7 +57,7 @@ import workloads  # noqa: E402
 
 WORKLOADS = ("map_direct", "contrast_driven")
 WRAPPED = ("derive_many", "drift_stack", "diffusion_stack", "steady_stack", "three_mode_measures")
-STAGES = (*WRAPPED, "sweep_other", "sweep_table", "total")
+STAGES = (*WRAPPED, "sweep_other", "sweep_table", "write_csv", "total")
 PHASES = ("setup", "run", "exit", "total")
 
 # The process of one --launch repeat: the CLI entry point, with CLOCK_MONOTONIC
@@ -120,8 +122,8 @@ def _versions() -> dict[str, object]:
             "blas_threads": threads}
 
 
-def _runners(src: Path):
-    """One closure per workload that runs its sweep and table build once."""
+def _runners(src: Path, out: Path):
+    """One closure per workload that runs its sweep, table build and CSV write into ``out`` once."""
     sys.path.insert(0, str(src))
     config = importlib.import_module("magsqueeze.config")
     analysis = importlib.import_module("magsqueeze.analysis")
@@ -153,10 +155,13 @@ def _runners(src: Path):
             result = analysis.sweep(run.params, axes=axes, pairing=spec.pairing)
             middle = time.perf_counter_ns()
             table = tableio.sweep_table(result, axis_columns=display)
+            built = time.perf_counter_ns()
+            tableio.write_csv(table, out / f"{name}.csv")
             end = time.perf_counter_ns()
             assert len(table.columns["stable"]) == workload.rows
             elapsed["sweep_other"] = middle - start - sum(elapsed[n] for n in WRAPPED)
-            elapsed["sweep_table"], elapsed["total"] = end - middle, end - start
+            elapsed["sweep_table"], elapsed["write_csv"] = built - middle, end - built
+            elapsed["total"] = end - start
             return dict(elapsed)
 
         return workload.rows, once
@@ -171,11 +176,13 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 
 def measure(src: Path, repeats: int) -> dict[str, object]:
     out: dict[str, object] = {}
-    for name, (rows, once) in _runners(src).items():
-        once()  # warm-up: first-call costs (caches, lazy imports) are not per-point work
-        samples = [once() for _ in range(repeats)]
-        stages = {stage: _quartiles([s[stage] / 1e3 / rows for s in samples]) for stage in STAGES}
-        out[name] = {"rows": rows, "us_per_row": stages}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (rows, once) in _runners(src, Path(tmp)).items():
+            once()  # warm-up: first-call costs (caches, lazy imports) are not per-point work
+            samples = [once() for _ in range(repeats)]
+            stages = {stage: _quartiles([s[stage] / 1e3 / rows for s in samples])
+                      for stage in STAGES}
+            out[name] = {"rows": rows, "us_per_row": stages}
     return out
 
 

@@ -340,6 +340,54 @@ _PAIR_QUADRATURES = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
 _PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 _FOCUS_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
 
+# Largest tr V that the certificate of three_mode_measures clears.  A floor of V + (i/2) Omega
+# of at least -d gives V >= -d I, so lambda_max <= tr V + 5 d; and at u - i t Omega u for every
+# real t, with u a unit eigenvector of lambda_min, (lambda_min + d)(lambda_max + d) >= 1/4.
+# With d < 1e-9 and tr V <= B, V is definite with cond(V) <= 4 B^2 (1 + 1e-5), a quarter of
+# CONDITION_BOUND: a margin of 4 over the quotient the exact checks form.
+_TRACE_BOUND: float = float(np.sqrt(CONDITION_BOUND)) / 4.0
+
+# The constant part of the real form [[V + tau I, -Omega/2], [Omega/2, V + tau I]] of
+# V + (i/2) Omega + tau I (each eigenvalue twice), tau = PHYSICALITY_TOL / 2.  Real, not
+# complex: only dpotrf runs, which the partial transposes load anyway.
+_REAL_FORM = 0.5 * PHYSICALITY_TOL * np.eye(12) + np.kron(
+    [[0.0, -1.0], [1.0, 0.0]], 0.5 * symplectic_form(3)
+)
+
+
+def _certified(stack: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """States of an (n, 6, 6) stack whose exact checks one Cholesky factorization proves to pass.
+
+    If the real form factors, the uncertainty floor is at least -tau minus the backward error
+    (Higham, Accuracy and Stability, Thm 10.3: below 3e-12 up to the trace bound), so above
+    -PHYSICALITY_TOL.  States over the trace bound are not tried, and if one factorization
+    fails, no state is certified.
+    """
+    cleared = np.trace(stack, axis1=1, axis2=2) <= _TRACE_BOUND
+    v = stack[cleared]
+    real_form = np.tile(_REAL_FORM, (v.shape[0], 1, 1))
+    real_form[:, :6, :6] += v
+    real_form[:, 6:, 6:] += v
+    try:
+        np.linalg.cholesky(real_form)
+    except np.linalg.LinAlgError:
+        cleared[:] = False
+    return cleared
+
+
+def _exact_verdicts(stack: NDArray[np.float64]) -> tuple[NDArray[np.int8], NDArray[np.float64]]:
+    """Verdict codes of (n, 6, 6) states from their uncertainty floors and spectra, and the
+    float each message quotes (the condition number where ill-conditioned, else the floor)."""
+    floor = _uncertainty_floor(stack)
+    spectrum = np.linalg.eigvalsh(stack)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = spectrum[:, -1] / spectrum[:, 0]
+    code = np.select(
+        [~(floor >= -PHYSICALITY_TOL), ~(spectrum[:, 0] > 0.0), ~(condition <= CONDITION_BOUND)],
+        [UNPHYSICAL, NOT_DEFINITE, ILL_CONDITIONED], OK,
+    ).astype(np.int8)
+    return code, np.where(code == ILL_CONDITIONED, condition, floor)
+
 
 def three_mode_measures(
     stack: NDArray[np.float64],
@@ -348,25 +396,23 @@ def three_mode_measures(
 
     Batched equivalent of ``log_negativity`` on the three mode pairs plus
     ``min_residual_contangle``, from six negativities per state instead of
-    twelve, and one physicality, definiteness and conditioning check.  The
-    states that pass all three are factored as (n, 3, 4, 4) and (n, 3, 6, 6)
-    partial transposes.  Returns an (n, 4) array, NaN in the row of a failing
-    state, and per state the verdict code (``errors.VERDICTS``: unphysical,
-    not_definite, ill_conditioned or non_positive_spectrum, the first that
-    fails) and the float its message quotes (the condition number where
-    ill-conditioned, else the uncertainty floor).
+    twelve.  One Cholesky certificate (``_certified``) clears physicality,
+    definiteness and conditioning; only the states it cannot clear take the
+    scalar path's exact checks (``_exact_verdicts``).  The states that pass are
+    factored as (n, 3, 4, 4) and (n, 3, 6, 6) partial transposes.  Returns an
+    (n, 4) array, NaN in the row of a failing state, and per state the verdict
+    code (``errors.VERDICTS``: unphysical, not_definite, ill_conditioned or
+    non_positive_spectrum, the first that fails) and the float its message
+    quotes (the condition number where ill-conditioned, NaN where ok, else the
+    uncertainty floor).
     """
-    floor = _uncertainty_floor(stack)
-    spectrum = np.linalg.eigvalsh(stack)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        condition = spectrum[:, -1] / spectrum[:, 0]
+    code, value = np.zeros(stack.shape[0], dtype=np.int8), np.full(stack.shape[0], np.nan)
+    exact = ~_certified(stack)
+    if exact.any():
+        code[exact], value[exact] = _exact_verdicts(stack[exact])
     # Each partial transpose is an orthogonal similarity of V or of a principal submatrix, so
     # all six are positive definite iff V is, and no worse conditioned than V; below the
     # bound their Cholesky factorizations succeed (Higham, Accuracy and Stability, Thm 10.7).
-    code = np.select(
-        [~(floor >= -PHYSICALITY_TOL), ~(spectrum[:, 0] > 0.0), ~(condition <= CONDITION_BOUND)],
-        [UNPHYSICAL, NOT_DEFINITE, ILL_CONDITIONED], OK,
-    ).astype(np.int8)
     factored = code == OK
     v, nu = stack[factored], np.full((stack.shape[0], 6), np.nan)
     pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
@@ -383,4 +429,5 @@ def three_mode_measures(
         ]
     out = np.column_stack([negativities[:, :3], np.maximum(0.0, np.minimum.reduce(residuals))])
     out[code != OK] = np.nan
-    return out, code, np.where(code == ILL_CONDITIONED, condition, floor)
+    value[code == OK] = np.nan
+    return out, code, value

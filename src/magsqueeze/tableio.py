@@ -97,7 +97,7 @@ def read_csv(path: str | Path) -> ResultTable:
     """Parse a file written by write_csv back into a ResultTable."""
     metadata: list[tuple[str, str]] = []
     columns: dict[str, list[Cell]] | None = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line:
             continue
         if line.startswith("#"):
@@ -111,7 +111,12 @@ def read_csv(path: str | Path) -> ResultTable:
             if len(columns) != len(names):
                 raise InvalidInputError(f"{path} repeats a column name: {line}")
             continue
-        for (name, cells), text in zip(columns.items(), line.split(",")):
+        texts = line.split(",")
+        if len(texts) != len(columns):
+            raise InvalidInputError(
+                f"{path} line {number} has {len(texts)} cells, expected {len(columns)}"
+            )
+        for (name, cells), text in zip(columns.items(), texts):
             if text == "":
                 cells.append(None)
             elif name in _INT_COLUMNS:

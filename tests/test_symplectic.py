@@ -273,3 +273,144 @@ def test_failed_factorization_of_a_definite_state_is_a_verdict():
     assert (alone_code == OK).all()
     assert np.array_equal(measures[passing], alone)
     assert measures[passing].max() <= 1e-9
+
+
+# The certificate of three_mode_measures: a real Cholesky factorization that clears
+# physicality, definiteness and conditioning without the exact eigensolves.
+TRACE_BOUND = gaussian._TRACE_BOUND
+
+
+def below_floor(depth: float) -> np.ndarray:
+    """(1/2 - depth) I: the uncertainty floor is -depth."""
+    return (0.5 - depth) * np.eye(6)
+
+
+def thermal(trace: float) -> np.ndarray:
+    return trace / 6.0 * np.eye(6)
+
+
+def entangled(trace: float) -> np.ndarray:
+    """A pure two-mode squeezed state of modes 0 and 1 beside a vacuum mode 2, floor 0."""
+    c = (trace - 1.0) / 2.0
+    s = np.sqrt(c * c - 1.0)
+    v = 0.5 * np.eye(6)
+    v[:4, :4] = 0.5 * np.block([[c * np.eye(2), s * np.diag([1.0, -1.0])],
+                                [s * np.diag([1.0, -1.0]), c * np.eye(2)]])
+    return v
+
+
+def squeezed(condition: float) -> np.ndarray:
+    """Mode 0 squeezed beside two vacua, with cond(V) = ``condition``."""
+    log_s = 0.5 * np.log10(condition)
+    return squeezed_beside_vacua(np.random.default_rng(3), log_s, log_s)
+
+
+def stacked_measures(stack: np.ndarray) -> np.ndarray:
+    """The four measures from the stacked spectra of the six partial transposes of each state."""
+    per_state = [transposes(CovarianceMatrix(v)) for v in stack]
+    nu = np.concatenate([
+        _symplectic_spectra(np.array([t[:3] for t in per_state]))[..., 0],
+        _symplectic_spectra(np.array([t[3:] for t in per_state]))[..., 0],
+    ], axis=1)
+    negativities = np.maximum(0.0, -np.log(2.0 * nu))
+    tangles = negativities**2
+    residuals = [
+        tangles[:, 3 + focus] - (tangles[:, j] + tangles[:, k])
+        for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))
+    ]
+    return np.column_stack([negativities[:, :3], np.maximum(0.0, np.minimum.reduce(residuals))])
+
+
+def exact_route_calls(monkeypatch) -> list[str]:
+    """Record each call of the uncertainty floor and of a real eigensolve (that of V)."""
+    calls: list[str] = []
+    floor, eigvalsh = gaussian._uncertainty_floor, np.linalg.eigvalsh
+
+    def counted_floor(arr):
+        calls.append("floor")
+        return floor(arr)
+
+    def counted_eigvalsh(arr, *args, **kwargs):
+        if not np.iscomplexobj(arr):
+            calls.append("eigvalsh")
+        return eigvalsh(arr, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "_uncertainty_floor", counted_floor)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return calls
+
+
+def test_certificate_edges_match_the_scalar_path():
+    stack = np.array([
+        0.5 * np.eye(6),  # floor exactly 0
+        *(below_floor(depth) for depth in (0.5e-9, 0.9e-9, 1.1e-9, 2e-9)),
+        thermal(0.99 * TRACE_BOUND), thermal(1.01 * TRACE_BOUND),
+        entangled(0.99 * TRACE_BOUND), entangled(1.01 * TRACE_BOUND),
+        squeezed(0.9 * CONDITION_BOUND), squeezed(1.1 * CONDITION_BOUND),
+    ])
+    assert_verdicts_match_scalar(stack)
+    measures, code, value = three_mode_measures(stack)
+    ok = code == OK
+    assert ok.tolist() == [True, True, True, False, False] + [True] * 5 + [False]
+    assert code[-1] == ILL_CONDITIONED
+    assert np.isnan(value[ok]).all() and not np.isnan(value[~ok]).any()
+    assert np.array_equal(measures[ok], stacked_measures(stack[ok]))
+    assert measures[7, 0] > 6.0  # the entangled state is not a product state
+
+
+def test_a_cleared_chunk_runs_no_verdict_eigensolve(monkeypatch):
+    states = config_states("fig2.yaml", {"upsilon": [0, 10, 20, 30], "theta": [0, 15, 30, 45]})
+    cleared = np.array([0.5 * np.eye(6), thermal(0.99 * TRACE_BOUND),
+                        entangled(0.99 * TRACE_BOUND), *(v.data for v in states)])
+    calls = exact_route_calls(monkeypatch)
+    measures, code, value = three_mode_measures(cleared)
+    assert (code == OK).all() and np.isnan(value).all()
+    assert calls == []
+    assert np.array_equal(measures, stacked_measures(cleared))
+    # One state over the trace bound takes the exact route, and it alone.
+    three_mode_measures(np.concatenate([cleared, [thermal(1.01 * TRACE_BOUND)]]))
+    assert calls == ["floor", "eigvalsh"]
+
+
+def test_one_failing_state_sends_its_chunk_to_the_exact_route(monkeypatch):
+    states = config_states("fig2.yaml", {"upsilon": [0, 10, 20, 30], "theta": [0, 15, 30, 45]})
+    passing = np.array([v.data for v in states])
+    stack = np.insert(passing, 3, below_floor(2e-9), axis=0)
+    errors = assert_verdicts_match_scalar(stack)
+    assert isinstance(errors[3], InvalidStateError)
+    calls = exact_route_calls(monkeypatch)
+    measures, code, value = three_mode_measures(stack)
+    assert calls == ["floor", "eigvalsh"]
+    assert (np.delete(code, 3) == OK).all() and np.isnan(np.delete(value, 3)).all()
+    assert value[3] == gaussian._uncertainty_floor(stack[3:4])[0]
+    alone = three_mode_measures(passing)[0]
+    assert np.array_equal(np.delete(measures, 3, axis=0), alone)
+    assert np.array_equal(alone, stacked_measures(passing))
+
+
+def random_symplectic(rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Cayley transform (I - K)^-1 (I + K) of the Hamiltonian matrix K = Omega H, ||H|| = scale."""
+    h = rng.standard_normal((6, 6))
+    h = h + h.T
+    k = symplectic_form(3) @ (scale / np.linalg.norm(h, 2) * h)
+    return np.linalg.solve(np.eye(6) - k, np.eye(6) + k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.95),
+       st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3))
+def test_physical_states_bound_the_spectrum_of_v(seed, scale, occupations):
+    # With u a unit eigenvector of lambda_min, the uncertainty relation at
+    # u - i t Omega u for every real t gives lambda_min * lambda_max >= 1/4,
+    # the bound that lets the certificate skip the eigensolve of V.  Rounding
+    # moves lambda_min by a few eps * lambda_max.
+    s = random_symplectic(np.random.default_rng(seed), scale)
+    v = s @ np.diag(np.repeat(0.5 + np.array(occupations), 2)) @ s.T
+    v = 0.5 * (v + v.T)
+    spectrum = np.linalg.eigvalsh(v)
+    assert spectrum[0] * spectrum[-1] >= 0.25 - 1e-14 * spectrum[-1] ** 2
+    # So every such state under the trace bound is cleared, and the exact checks agree.
+    cleared = gaussian._certified(v[None])[0]
+    assert cleared == (np.trace(v) <= TRACE_BOUND)
+    if cleared:
+        assert gaussian._exact_verdicts(v[None])[0][0] == OK

@@ -63,6 +63,13 @@ def test_short_row_in_a_file_is_rejected(tmp_path):
         read_csv(tmp_path / "t.csv")
 
 
+def test_long_row_in_a_file_is_rejected(tmp_path):
+    # A cell past the header has no column to go to; it is not dropped silently.
+    (tmp_path / "t.csv").write_text("x,y\n0.0,1.0,7.0\n")
+    with pytest.raises(InvalidInputError, match=r"t\.csv line 2 has 3 cells, expected 2"):
+        read_csv(tmp_path / "t.csv")
+
+
 def test_repeated_column_name_in_a_file_is_rejected(tmp_path):
     # Columns are keyed by name, so a repeated name would drop a column.
     (tmp_path / "t.csv").write_text("x,x\n0.0,1.0\n")
