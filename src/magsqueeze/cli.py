@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import CONTRASTS, evaluate, steady_state, sweep, temperature_thresholds
+from .analysis import CONTRASTS, evaluate, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
     UNSTABLE,
@@ -26,7 +26,7 @@ from .errors import (
     ParametricResonanceError,
     verdict_error,
 )
-from .gaussian import wigner_single_mode
+from .gaussian import CovarianceMatrix, wigner_single_mode
 from .model import ValidityReport, rabi_frequency, total_spins, validity_report
 from .tableio import ResultTable, sweep_table, write_csv, write_json
 
@@ -167,10 +167,13 @@ def _phase_tag(theta: float) -> str:
 def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     out = _writable_dir(out_dir)
     spec = config.wigner
-    for theta in spec.phases:
-        params = replace(config.params, theta=theta)
-        v = steady_state(params)
-        block = v.mode_block(1, 1)
+    # Every phase is solved before any file is written, so a failing phase leaves none.
+    evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
+    for code, value in zip(evaluation.code, evaluation.value):
+        if code:
+            raise verdict_error(code, value)
+    for theta, covariance in zip(spec.phases, evaluation.covariances):
+        block = CovarianceMatrix(covariance).mode_block(1, 1)
         extent = spec.extent_sigmas * float(np.sqrt(np.linalg.eigvalsh(block)[-1]))
         axis = np.linspace(-extent, extent, spec.points_per_axis)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
@@ -197,8 +200,7 @@ def cmd_validate(config: RunConfig) -> int:
         )
     params = config.params
     if params.h_d is not None and params.sphere_diameter is not None:
-        n0 = total_spins(params.sphere_diameter, params.spin_density)
-        computed = rabi_frequency(params.h_d, n0, params.gyromagnetic_ratio)
+        computed = rabi_frequency(params.h_d, total_spins(params.sphere_diameter))
         print(f"drive: field-derived rabi = {_fmt(computed)} rad/s")
         if params.rabi is not None:
             print(

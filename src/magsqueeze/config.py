@@ -10,7 +10,7 @@ rejected rather than ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -49,23 +49,17 @@ PARAM_KEYS: dict[str, tuple[str, float]] = {
     "rabi_rad_per_s": ("rabi", 1.0),
     "h_d_tesla": ("h_d", 1.0),
     "sphere_diameter_m": ("sphere_diameter", 1.0),
-    "spin_density_per_m3": ("spin_density", 1.0),
-    "spin_s": ("spin_s", 1.0),
-    "gyromagnetic_rad_per_s_per_t": ("gyromagnetic_ratio", 1.0),
 }
 
+# The temperature is the one field entered as a value and a unit.
+_TEMPERATURE_KEYS = ("temperature_value", "temperature_unit")
+_TEMPERATURE_UNITS: dict[str, float] = {"mK": 1e-3, "K": 1.0}
+
+# The keys of the SystemParams fields without a default, in PARAM_KEYS order.
+_REQUIRED_FIELDS = {f.name for f in fields(SystemParams) if f.default is MISSING}
 REQUIRED_PARAM_KEYS: tuple[str, ...] = (
-    "omega_a_over_2pi_hz",
-    "omega_m_over_2pi_hz",
-    "omega_b_over_2pi_hz",
-    "kappa_a_over_2pi_hz",
-    "kappa_m_over_2pi_hz",
-    "gamma_b_over_2pi_hz",
-    "g_a_over_2pi_hz",
-    "upsilon_over_2pi_hz",
-    "theta_rad",
-    "temperature_value",
-    "temperature_unit",
+    *(key for key, (name, _) in PARAM_KEYS.items() if name in _REQUIRED_FIELDS),
+    *_TEMPERATURE_KEYS,
 )
 
 _SECTIONS = ("parameters", "sweep", "wigner", "steady", "validate")
@@ -151,28 +145,33 @@ def _as_number(value: Any, where: str) -> float:
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
+def _temperature_scale(unit: Any, where: str) -> float:
+    """The factor from the temperature ``unit`` to kelvin."""
+    if not (isinstance(unit, str) and unit in _TEMPERATURE_UNITS):
+        names = " or ".join(map(repr, _TEMPERATURE_UNITS))
+        raise ConfigError(f"{where} must be {names}, got {unit!r}")
+    return _TEMPERATURE_UNITS[unit]
+
+
 def _parse_parameters(raw: dict[str, Any]) -> SystemParams:
-    unknown = sorted(set(raw) - set(PARAM_KEYS) - {"temperature_value", "temperature_unit"})
+    unknown = sorted(set(raw) - set(PARAM_KEYS) - set(_TEMPERATURE_KEYS))
     if unknown:
         raise ConfigError(f"unknown parameter keys: {unknown}")
     missing = [k for k in REQUIRED_PARAM_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing required parameter keys: {missing}")
 
-    unit = raw["temperature_unit"]
-    if unit not in ("mK", "K"):
-        raise ConfigError(f"temperature_unit must be 'mK' or 'K', got {unit!r}")
-    scale = 1e-3 if unit == "mK" else 1.0
-    fields: dict[str, Any] = {
+    scale = _temperature_scale(raw["temperature_unit"], "temperature_unit")
+    values: dict[str, Any] = {
         "temperature": scale * _as_number(raw["temperature_value"], "temperature_value")
     }
     for key, value in raw.items():
-        if key in ("temperature_value", "temperature_unit"):
+        if key in _TEMPERATURE_KEYS:
             continue
         field, to_si = PARAM_KEYS[key]
-        fields[field] = to_si * _as_number(value, key)
+        values[field] = to_si * _as_number(value, key)
     try:
-        return SystemParams(**fields)
+        return SystemParams(**values)
     except InvalidInputError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
@@ -198,10 +197,7 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
     if "unit" in axis:
         if name != "temperature":
             raise ConfigError("axis 'unit' is only supported for the temperature axis")
-        if axis["unit"] not in ("mK", "K"):
-            raise ConfigError(f"temperature axis unit must be 'mK' or 'K', got {axis['unit']!r}")
-        if axis["unit"] == "mK":
-            scale = 1e-3
+        scale = _temperature_scale(axis["unit"], "temperature axis unit")
     grid = np.linspace(start, stop, points)
     si = grid * scale
     # Temperature is always reported in kelvin regardless of the input unit.
@@ -243,6 +239,9 @@ def _parse_wigner(raw: dict[str, Any]) -> WignerSpec:
         phases = tuple(
             _as_number(v, f"wigner.phases_rad[{i}]") for i, v in enumerate(raw["phases_rad"])
         )
+        for i, phase in enumerate(phases):
+            if not math.isfinite(phase):
+                raise ConfigError(f"wigner.phases_rad[{i}] must be finite")
     points = raw.get("points_per_axis", 101)
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise ConfigError("wigner.points_per_axis must be an integer >= 2")

@@ -56,6 +56,13 @@ _SHIFT_RTOL: float = 1e-9
 # Relative floor below which the drive denominator counts as singular.
 _DENOMINATOR_RTOL: float = 1e-6
 
+# YIG: spin density (m^-3), spin number of Fe3+ and gyromagnetic ratio (rad/s/T).
+SPIN_DENSITY: float = 4.22e27
+SPIN_S: float = 2.5
+GYROMAGNETIC_RATIO: float = TWO_PI * 28e9
+
+_DRIVE_RULE = "set rabi, or h_d with sphere_diameter"
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -65,9 +72,10 @@ class SystemParams:
     magnon detuning can be given either directly (``delta_a``/``delta_m``)
     or through the drive frequency ``omega_0``; exactly one of the two
     forms must be used.  The magnomechanical coupling is either the
-    effective ``G_m`` directly or the bare ``g_m`` (combined with a drive
-    amplitude so the steady magnon amplitude can be formed).  ``theta`` is
-    normalized into [0, 2pi) at construction.  Every set value must be finite.
+    effective ``G_m`` directly or, where ``G_m`` is absent, formed from the
+    bare ``g_m`` and the steady magnon amplitude of a drive (see
+    ``has_drive``).  ``theta`` is normalized into [0, 2pi) at construction.
+    Every set value must be finite.
     """
 
     omega_a: float
@@ -88,16 +96,12 @@ class SystemParams:
     rabi: float | None = None
     h_d: float | None = None
     sphere_diameter: float | None = None
-    spin_density: float = 4.22e27
-    spin_s: float = 2.5
-    gyromagnetic_ratio: float = TWO_PI * 28e9
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             if value is not None and not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite")
-        for name in ("omega_a", "omega_m", "omega_b",
-                     "spin_density", "spin_s", "gyromagnetic_ratio"):
+        for name in ("omega_a", "omega_m", "omega_b"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive")
         for name in ("kappa_a", "kappa_m", "gamma_b"):
@@ -119,6 +123,13 @@ class SystemParams:
             )
         if self.G_m is None and self.g_m is None:
             raise InvalidInputError("a magnomechanical coupling (G_m or g_m) is required")
+        if self.G_m is None and not self.has_drive:
+            raise InvalidInputError(f"g_m without G_m needs a drive: {_DRIVE_RULE}")
+
+    @property
+    def has_drive(self) -> bool:
+        """Whether a drive amplitude is set: ``rabi``, or ``h_d`` with ``sphere_diameter``."""
+        return self.rabi is not None or (self.h_d is not None and self.sphere_diameter is not None)
 
 
 @dataclass(frozen=True)
@@ -155,22 +166,20 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def total_spins(sphere_diameter: float, spin_density: float = 4.22e27) -> float:
-    """Total spin count of a sphere: density times (pi/6) d^3."""
+def total_spins(sphere_diameter: float) -> float:
+    """Total spin count of a YIG sphere: ``SPIN_DENSITY`` times (pi/6) d^3."""
     if sphere_diameter <= 0.0:
         raise InvalidInputError(f"sphere_diameter must be positive, got {sphere_diameter}")
-    if spin_density <= 0.0:
-        raise InvalidInputError(f"spin_density must be positive, got {spin_density}")
-    return spin_density * (math.pi / 6.0) * sphere_diameter**3
+    return SPIN_DENSITY * (math.pi / 6.0) * sphere_diameter**3
 
 
-def rabi_frequency(h_d: float, n_spins: float, gyromagnetic_ratio: float = TWO_PI * 28e9) -> float:
+def rabi_frequency(h_d: float, n_spins: float) -> float:
     """Collective drive amplitude (sqrt(5)/4) * gamma * sqrt(N_0) * H_d in rad/s."""
     if h_d < 0.0:
         raise InvalidInputError(f"h_d must be non-negative, got {h_d}")
-    if n_spins <= 0.0 or gyromagnetic_ratio <= 0.0:
-        raise InvalidInputError("n_spins and gyromagnetic_ratio must be positive")
-    return (math.sqrt(5.0) / 4.0) * gyromagnetic_ratio * math.sqrt(n_spins) * h_d
+    if n_spins <= 0.0:
+        raise InvalidInputError("n_spins must be positive")
+    return (math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * math.sqrt(n_spins) * h_d
 
 
 def _resolved(params: SystemParams) -> dict[str, float | None]:
@@ -179,9 +188,8 @@ def _resolved(params: SystemParams) -> dict[str, float | None]:
     if params.omega_0 is not None:
         resolved["delta_a"] = params.omega_a - params.omega_0
         resolved["delta_m"] = params.omega_m - params.omega_0
-    if params.rabi is None and params.h_d is not None and params.sphere_diameter is not None:
-        n0 = total_spins(params.sphere_diameter, params.spin_density)
-        resolved["omega_rabi"] = rabi_frequency(params.h_d, n0, params.gyromagnetic_ratio)
+    if params.rabi is None and params.has_drive:
+        resolved["omega_rabi"] = rabi_frequency(params.h_d, total_spins(params.sphere_diameter))
     return resolved
 
 
@@ -381,7 +389,7 @@ def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns
         squeeze_drive=upsilon * weight * np.exp(1j * columns["theta"]),
     )
     driven = ~np.isnan(c["rabi"])
-    shift = driven & ~np.isnan(columns["omega_0"]) & ~np.isnan(columns["g_m"])
+    shift = driven & ~np.isnan(columns["omega_0"]) & np.isnan(columns["G_m"])
     delta_bar = c["delta_m"].copy()
     m_s = np.full(len(columns), np.nan, dtype=complex)
     code = np.zeros(len(columns), dtype=np.int8)
@@ -403,23 +411,15 @@ def _one(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
     return columns, derived
 
 
-def _driven(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
-    """``_one(params)``; raises ``InvalidInputError`` for a point without a drive amplitude."""
-    columns, derived = _one(params)
-    if np.isnan(columns["omega_rabi"][0]):
-        raise InvalidInputError(
-            "steady amplitude requires a drive: set rabi, or h_d with sphere_diameter"
-        )
-    return columns, derived
-
-
 def steady_magnon_amplitude_approx(params: SystemParams) -> complex:
     """Large-detuning approximation of the steady magnon amplitude.
 
     Valid for detunings well above the linewidths; emits a warning when
     either detuning is below ten linewidths.
     """
-    columns, derived = _driven(params)
+    if not params.has_drive:
+        raise InvalidInputError(f"steady amplitude requires a drive: {_DRIVE_RULE}")
+    columns, derived = _one(params)
     delta_a, delta_m_bar = float(columns["delta_a"][0]), float(derived.delta_m_bar[0])
     if delta_a == 0.0:
         raise InvalidInputError("the approximate amplitude requires a nonzero cavity detuning")
@@ -450,10 +450,6 @@ def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.fl
     meaningful.
     """
     c = columns
-    if np.any(np.isnan(c["G_m"]) & np.isnan(c["omega_rabi"])):
-        raise InvalidInputError(
-            "drift matrix needs G_m, or g_m with a drive to form the steady amplitude"
-        )
     # Real drift entry: the phase of i sqrt(2) g_m m_s is absorbed into the
     # mechanical quadrature reference, leaving the modulus, formed in the
     # operation order of Python's complex type (see _steady_amplitude).
@@ -514,16 +510,14 @@ def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityRe
     omega_rabi = float(columns["omega_rabi"][0])
     if kerr_coefficient < 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
-    if math.isnan(omega_rabi):
-        raise InvalidInputError(
-            "validity checks need the steady amplitude: set rabi, or h_d with sphere_diameter"
-        )
+    if not params.has_drive:
+        raise InvalidInputError(f"validity checks need the steady amplitude: {_DRIVE_RULE}")
     if params.sphere_diameter is None:
         raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
 
     amplitude = abs(complex(derived.m_s[0]))
     occupation = amplitude**2
-    bound = 2.0 * total_spins(params.sphere_diameter, params.spin_density) * params.spin_s
+    bound = 2.0 * total_spins(params.sphere_diameter) * SPIN_S
     kerr_shift = kerr_coefficient * amplitude**3
     if omega_rabi > 0.0:
         ratio = kerr_shift / omega_rabi

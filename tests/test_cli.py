@@ -132,6 +132,36 @@ class TestSteady:
         assert cli.main(["steady", "--config", cfg]) == 2
         assert "coupling_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["spin_density_per_m3", "spin_s", "gyromagnetic_rad_per_s_per_t"]
+    )
+    def test_fixed_yig_constants_are_unknown_keys(self, tmp_path, capsys, key):
+        # The spin density, spin number and gyromagnetic ratio are YIG constants.
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS, **{key: 1.0})})
+        assert cli.main(["steady", "--config", cfg]) == 2
+        assert f"unknown parameter keys: ['{key}']" in capsys.readouterr().err
+
+    def test_missing_keys_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"parameters": {"G_m_over_2pi_hz": 4.8e6}})
+        assert cli.main(["steady", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing required parameter keys: ['omega_a_over_2pi_hz',"
+            " 'omega_m_over_2pi_hz', 'omega_b_over_2pi_hz', 'kappa_a_over_2pi_hz',"
+            " 'kappa_m_over_2pi_hz', 'gamma_b_over_2pi_hz', 'g_a_over_2pi_hz',"
+            " 'upsilon_over_2pi_hz', 'theta_rad', 'temperature_value', 'temperature_unit']\n"
+        )
+
+    @pytest.mark.parametrize("unit", ["C", ["mK"]])
+    def test_temperature_units_named(self, tmp_path, capsys, unit):
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS, temperature_unit=unit)})
+        assert cli.main(["steady", "--config", cfg]) == 2
+        assert f"temperature_unit must be 'mK' or 'K', got {unit!r}" in capsys.readouterr().err
+        axis = {"name": "temperature", "start": 1.0, "stop": 2.0, "points": 2, "unit": unit}
+        cfg = write_config(tmp_path, dict(sweep_tree(), sweep={"axes": [axis]}))
+        assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"temperature axis unit must be 'mK' or 'K', got {unit!r}" in err
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS), "plotting": {}})
         assert cli.main(["steady", "--config", cfg]) == 2
@@ -284,6 +314,24 @@ class TestWigner:
             assert np.all(w >= 0.0)
             meta = dict(table.metadata)
             assert float(meta["normalization_integral"]) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "phases, upsilon, code, message",
+        [
+            ([0.0, ".nan"], 3.9e6, 2, "wigner.phases_rad[1] must be finite"),
+            ([0.0, 4.71238898038469], 6.0e6, 3, "drift matrix is not stable"),
+        ],
+    )
+    def test_failing_phase_writes_no_file(self, tmp_path, capsys, phases, upsilon, code, message):
+        # The first phase solves; the second is NaN or has no steady state.
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        overrides = ["--set", f"wigner.phases_rad=[{', '.join(map(str, phases))}]",
+                     "--set", f"upsilon_over_2pi_hz={upsilon}"]
+        assert cli.main(["wigner", "--config", cfg, "--output", str(out_dir), *overrides]) == code
+        assert message in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_rejects_empty_phase_list(self, tmp_path, capsys):
         tree = {"parameters": dict(BASE_PARAMETERS), "wigner": {"phases_rad": []}}

@@ -15,6 +15,7 @@ from magsqueeze import (
     SystemParams,
     build_diffusion,
     build_drift,
+    evaluate,
     rabi_frequency,
     steady_magnon_amplitude_approx,
     thermal_occupation,
@@ -123,6 +124,18 @@ class TestSystemParams:
         del bad["G_m"]
         with pytest.raises(InvalidInputError):
             SystemParams(**bad)
+
+    def test_rejects_bare_coupling_without_drive(self):
+        bare = dict(BASE_PARAMS, g_m=TWO_PI * 0.2)
+        del bare["G_m"]
+        with pytest.raises(InvalidInputError, match="g_m without G_m needs a drive"):
+            SystemParams(**bare)
+        # A field amplitude is a drive only together with the sphere diameter.
+        with pytest.raises(InvalidInputError, match="g_m without G_m needs a drive"):
+            SystemParams(**bare, h_d=2.87e-5)
+        assert SystemParams(**bare, h_d=2.87e-5, sphere_diameter=DIAMETER).has_drive
+        assert SystemParams(**bare, rabi=DRIVE).has_drive
+        assert not make_params().has_drive
 
     def test_rejects_zero_dissipation(self):
         with pytest.raises(InvalidInputError):
@@ -278,6 +291,17 @@ class TestSelfConsistentDetuning:
         p = make_params(delta_a=None, delta_m=None, omega_0=TWO_PI * (10e9 - 10e6))
         assert build_drift(p)[0, 1] == pytest.approx(TWO_PI * 10e6, rel=1e-12)
         assert derive_many([p]).delta_m_bar[0] == p.omega_m - p.omega_0
+
+    def test_direct_coupling_is_not_shifted_by_g_m_and_a_drive(self):
+        # configs/default.yaml with the drive frequency in place of the
+        # detunings: the direct G_m fixes the drift, so g_m with a drive
+        # changes neither the detuning nor the measures.
+        p = make_params(delta_a=None, delta_m=None, omega_0=TWO_PI * 9.99e9,
+                        g_m=TWO_PI * 0.2, rabi=DRIVE)
+        assert derive_many([p]).delta_m_bar[0] == p.omega_m - p.omega_0
+        measures = evaluate([p, dataclasses.replace(p, g_m=None)]).measures
+        assert measures[0].tolist() == measures[1].tolist()
+        assert measures[0, 0] == pytest.approx(0.0925227562922, rel=1e-11)
 
     def test_fixed_point_property(self):
         shifted = SystemParams(

@@ -4,7 +4,9 @@ Byte identity of the CSV files only holds on one platform, so each
 dataset is recomputed through the library and compared by value: the
 null (unstable) pattern must match exactly and every measure must agree
 within ``ATOL``.  fig2 and the two coupling maps are checked at every
-other point of both axes.
+other point of both axes.  The Wigner grids are regenerated through the
+``wigner`` command and compared on their x, y and W columns and their
+normalization integral.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magsqueeze import sweep
+from magsqueeze import cli, sweep
 from magsqueeze.config import load_config
 from magsqueeze.tableio import ResultTable, read_csv, sweep_table
 
@@ -64,3 +66,22 @@ def test_sweep_matches_bundled_results(name):
     assert len(got.columns["stable"]) == len(kept)
     np.testing.assert_array_equal(np.isnan(have), np.isnan(want))
     np.testing.assert_allclose(have, want, rtol=0.0, atol=ATOL, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def wigner_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("wigner")
+    assert cli.main(["wigner", "--config", str(ROOT / "configs" / "wigner.yaml"),
+                     "--output", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("tag", ["0", "0p5", "1", "1p5"])
+def test_wigner_matches_bundled_results(wigner_dir, tag):
+    name = f"wigner_theta_{tag}pi.csv"
+    got, stored = read_csv(wigner_dir / name), read_csv(ROOT / "results" / "wigner" / name)
+    np.testing.assert_allclose(
+        as_array(got, ["x", "y", "W"]), as_array(stored, ["x", "y", "W"]), rtol=0.0, atol=ATOL
+    )
+    norms = [float(dict(table.metadata)["normalization_integral"]) for table in (got, stored)]
+    assert norms[0] == pytest.approx(norms[1], rel=0.0, abs=ATOL)
