@@ -52,7 +52,6 @@ from .model import (
     build_diffusion,
     build_drift,
     rabi_frequency,
-    steady_magnon_amplitude_approx,
     thermal_occupation,
     total_spins,
     validity_report,
@@ -88,7 +87,6 @@ __all__ = [
     "thermal_occupation",
     "total_spins",
     "rabi_frequency",
-    "steady_magnon_amplitude_approx",
     "build_drift",
     "build_diffusion",
     "validity_report",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,8 +110,7 @@ class PhasePairing:
             raise InvalidInputError("pairing phases must be distinct")
 
 
-@dataclass(frozen=True)
-class DirectionalPoint:
+class DirectionalPoint(NamedTuple):
     """Steady-state measures at one phase setting; all None when unstable."""
 
     theta: float
@@ -122,8 +121,7 @@ class DirectionalPoint:
     r_min: float | None
 
 
-@dataclass(frozen=True)
-class ContrastRecord:
+class ContrastRecord(NamedTuple):
     """Contrast ratios for a phase pairing plus the raw directional measures.
 
     A direction with no steady state carries no steady entanglement: its
@@ -170,8 +168,7 @@ def _nullable(values: np.ndarray) -> list[float | None]:
     return [None if math.isnan(v) else v for v in values.tolist()]
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """Per-point outcomes of ``evaluate`` for ``n`` operating points.
 
     ``max_real_part`` is the largest real part of each drift spectrum and

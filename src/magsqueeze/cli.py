@@ -203,10 +203,9 @@ def cmd_validate(config: RunConfig) -> int:
         computed = rabi_frequency(params.h_d, total_spins(params.sphere_diameter))
         print(f"drive: field-derived rabi = {_fmt(computed)} rad/s")
         if params.rabi is not None:
-            print(
-                f"drive: configured rabi = {_fmt(params.rabi)} rad/s"
-                f" (configured/derived = {_fmt(params.rabi / computed)})"
-            )
+            # A zero field derives a zero rabi, and then there is no ratio to print.
+            ratio = f" (configured/derived = {_fmt(params.rabi / computed)})" if computed else ""
+            print(f"drive: configured rabi = {_fmt(params.rabi)} rad/s{ratio}")
     print(f"drive: rabi used = {_fmt(report.drive_amplitude)} rad/s")
     verdict = report.low_excitation_ok and report.kerr_ok and report.stable
     print(f"overall: {'PASS' if verdict else 'FAIL'}")

@@ -10,9 +10,9 @@ rejected rather than ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -78,8 +78,7 @@ _DEFAULT_WIGNER_PHASES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-@dataclass(frozen=True)
-class AxisSpec:
+class AxisSpec(NamedTuple):
     """One sweep axis: SI values for the engine, display values for output."""
 
     name: str
@@ -88,21 +87,18 @@ class AxisSpec:
     column_name: str
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     axes: tuple[AxisSpec, ...]
     pairing: PhasePairing | None
 
 
-@dataclass(frozen=True)
-class WignerSpec:
+class WignerSpec(NamedTuple):
     phases: tuple[float, ...]
     points_per_axis: int
     extent_sigmas: float
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run configuration with parameters already in SI units."""
 
     params: SystemParams

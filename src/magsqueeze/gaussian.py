@@ -13,7 +13,7 @@ monogamy decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -131,8 +131,7 @@ class Partition:
         return tuple(sorted(self.party_a | self.party_b))
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
+class PhysicalityReport(NamedTuple):
     """Outcome of the uncertainty-relation check.
 
     ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian matrix

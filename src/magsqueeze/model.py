@@ -13,9 +13,8 @@ mechanical mode.  All frequencies and rates are angular (rad/s).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,7 +23,6 @@ from .errors import (
     NO_FIXED_POINT,
     RESONANCE,
     InvalidInputError,
-    ParametricResonanceError,
     verdict_error,
 )
 
@@ -36,7 +34,6 @@ __all__ = [
     "thermal_occupation",
     "total_spins",
     "rabi_frequency",
-    "steady_magnon_amplitude_approx",
     "build_drift",
     "build_diffusion",
     "derive_many",
@@ -107,8 +104,7 @@ class SystemParams:
         for name in ("kappa_a", "kappa_m", "gamma_b"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive (dissipation required)")
-        for name in ("g_a", "upsilon", "temperature",
-                     "G_m", "g_m", "rabi", "h_d", "sphere_diameter"):
+        for name in ("g_a", "upsilon", "temperature", "G_m", "g_m", "rabi", "h_d"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
                 raise InvalidInputError(f"{name} must be non-negative")
@@ -125,6 +121,9 @@ class SystemParams:
             raise InvalidInputError("a magnomechanical coupling (G_m or g_m) is required")
         if self.G_m is None and not self.has_drive:
             raise InvalidInputError(f"g_m without G_m needs a drive: {_DRIVE_RULE}")
+        # The diameter sets the spin count of the drive and of the validity bound.
+        if self.sphere_diameter is not None and not self.sphere_diameter > 0.0:
+            raise InvalidInputError("sphere_diameter must be positive")
 
     @property
     def has_drive(self) -> bool:
@@ -132,8 +131,7 @@ class SystemParams:
         return self.rabi is not None or (self.h_d is not None and self.sphere_diameter is not None)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """Linearization validity checks at one operating point."""
 
     magnon_amplitude: float
@@ -357,8 +355,7 @@ def _self_consistent_shift(
     code[idx[pole]] = RESONANCE
 
 
-@dataclass(frozen=True)
-class DerivedColumns:
+class DerivedColumns(NamedTuple):
     """Per-point results of ``derive_many``.
 
     ``delta_m_bar`` is the effective magnon detuning and ``m_s`` the steady
@@ -409,34 +406,6 @@ def _one(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
     if derived.code[0]:
         raise verdict_error(derived.code[0])
     return columns, derived
-
-
-def steady_magnon_amplitude_approx(params: SystemParams) -> complex:
-    """Large-detuning approximation of the steady magnon amplitude.
-
-    Valid for detunings well above the linewidths; emits a warning when
-    either detuning is below ten linewidths.
-    """
-    if not params.has_drive:
-        raise InvalidInputError(f"steady amplitude requires a drive: {_DRIVE_RULE}")
-    columns, derived = _one(params)
-    delta_a, delta_m_bar = float(columns["delta_a"][0]), float(derived.delta_m_bar[0])
-    if delta_a == 0.0:
-        raise InvalidInputError("the approximate amplitude requires a nonzero cavity detuning")
-    wide = max(params.kappa_a, params.kappa_m)
-    if min(abs(delta_a), abs(delta_m_bar)) < 10.0 * wide:
-        warnings.warn(
-            "detunings are within 10 linewidths; the approximate amplitude may be inaccurate",
-            stacklevel=2,
-        )
-    eta = params.g_a**2 / delta_a - delta_m_bar
-    denominator = eta**2 - params.upsilon**2
-    if abs(denominator) <= _DENOMINATOR_RTOL * (eta**2 + params.upsilon**2):
-        raise ParametricResonanceError(
-            "approximate amplitude denominator vanishes: squeezing amplitude at parametric resonance"
-        )
-    numerator = params.upsilon * np.exp(1j * params.theta) + 1j * eta
-    return complex(numerator / denominator * float(columns["omega_rabi"][0]))
 
 
 def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.float64]:

@@ -12,7 +12,7 @@ provided as an independent cross-check of the algebraic route.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,8 +43,7 @@ STABILITY_MARGIN: float = 1e-12
 _BLOWUP_FACTOR: float = 1e12
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Spectrum-based stability verdict for a drift matrix."""
 
     eigenvalues: NDArray[np.complex128]

@@ -119,6 +119,15 @@ class TestSteady:
         assert code == 3
         assert "no steady state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drive", [{"rabi_rad_per_s": 1.48e15}, {}])
+    def test_zero_sphere_diameter_exits_2(self, tmp_path, capsys, drive):
+        params = dict(BASE_PARAMETERS, h_d_tesla=2.87e-5, **drive)
+        cfg = write_config(tmp_path, {"parameters": params, "validate": {"kerr_over_2pi_hz": 6.4e-9}})
+        assert cli.main(["steady", "--config", cfg, "--set", "sphere_diameter_m=0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid parameters: sphere_diameter must be positive\n"
+
     def test_missing_key_is_named(self, tmp_path, capsys):
         params = dict(BASE_PARAMETERS)
         del params["upsilon_over_2pi_hz"]
@@ -377,6 +386,22 @@ class TestValidate:
         cfg = write_config(tmp_path, tree)
         assert cli.main(["validate", "--config", cfg]) == 2
         assert "drive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kerr, code, verdict", [(6.4e-9, 0, "PASS"), (6.4e-8, 1, "FAIL")])
+    def test_zero_field_prints_no_ratio(self, kerr, code, verdict):
+        # h_d = 0 derives a zero rabi; the configured rabi drives the checks.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "magsqueeze.cli", "validate",
+             "--config", str(REPO_CONFIGS / "validate.yaml"),
+             "--set", "h_d_tesla=0", "--set", f"validate.kerr_over_2pi_hz={kerr}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (code, "")
+        assert "drive: field-derived rabi = 0 rad/s\n" in done.stdout
+        assert "drive: configured rabi = 1.48e+15 rad/s\n" in done.stdout
+        assert done.stdout.endswith(f"overall: {verdict}\n")
 
 
 class TestThreads:

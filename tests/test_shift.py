@@ -9,7 +9,6 @@ pole counts as a positive residual, and the returned root must be off it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -165,10 +164,10 @@ def test_one_batch_equals_the_chunked_batches():
     points = contrast_driven_points()
     whole = derive_many(points)
     chunks = [derive_many(points[start:start + _CHUNK]) for start in range(0, len(points), _CHUNK)]
-    for field in dataclasses.fields(whole):
-        chunked = np.concatenate([getattr(chunk, field.name) for chunk in chunks])
+    for field in whole._fields:
+        chunked = np.concatenate([getattr(chunk, field) for chunk in chunks])
         assert chunked.shape == (len(points),)
-        np.testing.assert_array_equal(getattr(whole, field.name), chunked)
+        np.testing.assert_array_equal(getattr(whole, field), chunked)
 
 
 def test_single_point_derive_is_the_batch_of_one():
