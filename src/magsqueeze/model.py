@@ -3,8 +3,9 @@
 Translates laboratory parameters (frequencies, decay rates, couplings, the
 two-magnon drive amplitude and phase, temperature) into the objects the
 solver consumes: the 6x6 drift matrix of the linearized quadrature dynamics,
-the diagonal diffusion matrix of the input noise, steady-state amplitudes of
-the magnon and phonon modes, and validity reports for the linearization.
+the diagonal diffusion matrix of the input noise, the steady magnon amplitude
+of the drift's own mean-field equations, and validity reports for the
+linearization.
 
 Quadrature ordering is ``(x_a, p_a, x_m, p_m, q, p)`` for cavity, magnon and
 mechanical mode.  All frequencies and rates are angular (rad/s).
@@ -50,7 +51,7 @@ _HBAR: float = 6.62607015e-34 / TWO_PI
 _SHIFT_MAX_ITER: int = 200
 _SHIFT_RTOL: float = 1e-9
 
-# Relative floor below which the drive denominator counts as singular.
+# Relative floor below which the mean-field system of the amplitude counts as singular.
 _DENOMINATOR_RTOL: float = 1e-6
 
 # YIG: spin density (m^-3), spin number of Fe3+ and gyromagnetic ratio (rad/s/T).
@@ -222,32 +223,40 @@ class ParamColumns:
         return np.broadcast_to(self.values[name], (self.size,))
 
 
-def _square(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``x**2`` through Python's float power, which rounds some inputs differently from x * x."""
-    return np.array([v**2 for v in x.tolist()])
+def _magnon_block(c: ParamColumns | dict[str, NDArray], delta_bar: NDArray) -> list[list[NDArray]]:
+    """The drift's magnon block, rows and columns ``(x_m, p_m)``, per point of ``c``.
+
+    The only place the squeezing drive enters the model: its phase splits the
+    magnon decay into ``kappa_m +/- upsilon*cos(theta)`` and the detuning
+    ``delta_bar`` into ``delta_bar +/- upsilon*sin(theta)``.
+    """
+    split_kappa = c["upsilon"] * np.cos(c["theta"])
+    split_delta = c["upsilon"] * np.sin(c["theta"])
+    return [[-(c["kappa_m"] + split_kappa), delta_bar + split_delta],
+            [-(delta_bar - split_delta), -(c["kappa_m"] - split_kappa)]]
 
 
 def _steady_amplitude(
     c: dict[str, NDArray], idx: NDArray[np.intp], delta_m_bar: NDArray[np.float64]
 ) -> tuple[NDArray[np.complex128], NDArray[np.bool_]]:
     """Steady magnon amplitudes of the points ``idx`` of the columns ``c`` (see
-    ``derive_many``), and where each denominator is within the pole tolerance.
+    ``derive_many``), and where each is within the pole tolerance.
 
-    Works in real arithmetic in the operation order of Python's complex type:
-    numpy's complex multiply and absolute value round differently, and the
-    fixed-point iteration of the shift can amplify one rounding difference
-    into a different branch of the response.
+    The mean-field equations are the drift's cavity-magnon block G with the
+    drive f = (0, 0, sqrt(2) rabi, 0): G x = -f.  Eliminating the cavity
+    leaves M (x_m, p_m) = -(sqrt(2) rabi, 0), with the magnon block D and
+    M = D - g_a^2 (kappa_a I + delta_a J) / (kappa_a^2 + delta_a^2),
+    J = [[0, 1], [-1, 0]]; then m_s = (x_m + i p_m) / sqrt(2).  The pole
+    tolerance bounds |det M| by 1e-6 of half its squared Frobenius norm.
     """
-    kappa_a, delta_a, kappa_m = c["kappa_a"][idx], c["delta_a"][idx], c["kappa_m"][idx]
-    # kappa_minus = r - i s and kappa_plus = r + i s, so their product is real.
-    r = kappa_a * kappa_m - delta_a * delta_m_bar + c["g_a2"][idx]
-    s = kappa_a * delta_m_bar + delta_a * kappa_m
-    product = r * r + s * s
-    denominator = product - c["drive_weight"][idx]
-    pole = np.abs(denominator) <= _DENOMINATOR_RTOL * (product + c["drive_weight"][idx])
-    numerator = (r * kappa_a + s * delta_a) + 1j * (r * delta_a - s * kappa_a)
-    numerator = numerator + c["squeeze_drive"][idx]
-    return numerator / (denominator + 0j) * c["rabi"][idx], pole
+    c = {name: column[idx] for name, column in c.items()}
+    (m00, m01), (m10, m11) = _magnon_block(c, delta_m_bar)
+    load = c["g_a"] ** 2 / (c["kappa_a"] ** 2 + c["delta_a"] ** 2)
+    m00, m11 = m00 - load * c["kappa_a"], m11 - load * c["kappa_a"]
+    m01, m10 = m01 - load * c["delta_a"], m10 + load * c["delta_a"]
+    det = m00 * m11 - m01 * m10
+    pole = np.abs(det) <= _DENOMINATOR_RTOL * (m00**2 + m01**2 + m10**2 + m11**2) / 2
+    return c["rabi"] * (-m11 + 1j * m10) / det, pole
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # the step not taken may divide by zero
@@ -304,12 +313,12 @@ def _self_consistent_shift(
 
     def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
         m, pole = _steady_amplitude(c, sel, x)
-        backaction = c["g_m2"][sel] * _square(np.hypot(m.real, m.imag)) / c["omega_b"][sel]
+        backaction = c["g_m"][sel] ** 2 * np.abs(m) ** 2 / c["omega_b"][sel]
         return c["delta_m"][sel] - backaction, m, pole
 
     def residual(x: NDArray, sel: NDArray) -> NDArray:
-        # The denominator is real, so |m_s|^2 -> +inf on both sides of the
-        # pole: a trial there counts as a positive residual.
+        # det M is real, so |m_s|^2 -> +inf on both sides of the pole: a
+        # trial there counts as a positive residual.
         updated, _, pole = shifted(x, sel)
         return np.where(pole, np.inf, x - updated)
 
@@ -376,15 +385,10 @@ def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns
     the verdict code of the ``ParametricResonanceError`` ``_one`` raises for it.
     """
     columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
-    c = {name: columns[name] for name in ("kappa_a", "delta_a", "kappa_m", "delta_m", "omega_b")}
+    c = {name: columns[name] for name in (
+        "kappa_a", "delta_a", "g_a", "kappa_m", "delta_m", "upsilon", "theta", "g_m", "omega_b"
+    )}
     c["rabi"] = columns["omega_rabi"]
-    # The parts of the amplitude and of the shift that do not depend on Delta_m_bar.
-    upsilon, weight = columns["upsilon"], _square(c["delta_a"]) + _square(c["kappa_a"])
-    c.update(
-        g_a2=_square(columns["g_a"]), g_m2=_square(columns["g_m"]),
-        drive_weight=_square(upsilon) * weight,
-        squeeze_drive=upsilon * weight * np.exp(1j * columns["theta"]),
-    )
     driven = ~np.isnan(c["rabi"])
     shift = driven & ~np.isnan(columns["omega_0"]) & np.isnan(columns["G_m"])
     delta_bar = c["delta_m"].copy()
@@ -412,28 +416,20 @@ def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.fl
     """Drift matrices of the linearized quadrature dynamics, one (6, 6) per point.
 
     Row/column order ``(x_a, p_a, x_m, p_m, q, p)``.  The squeezing drive
-    enters the magnon block only: the phase splits the effective magnon
-    decay into ``kappa_m +/- upsilon*cos(theta)`` and the detuning into
-    ``delta_m_bar +/- upsilon*sin(theta)``.  ``derived`` is
+    enters the magnon block only (see ``_magnon_block``).  ``derived`` is
     ``derive_many(columns)``; the matrix of a point it failed is not
     meaningful.
     """
     c = columns
     # Real drift entry: the phase of i sqrt(2) g_m m_s is absorbed into the
-    # mechanical quadrature reference, leaving the modulus, formed in the
-    # operation order of Python's complex type (see _steady_amplitude).
-    scale, m_s = math.sqrt(2.0) * c["g_m"], derived.m_s
-    g = np.where(np.isnan(c["G_m"]), np.hypot(scale * m_s.imag, scale * m_s.real), c["G_m"])
-    split_delta = c["upsilon"] * np.sin(c["theta"])
-    split_kappa = c["upsilon"] * np.cos(c["theta"])
-    kappa_m, delta_bar = c["kappa_m"], derived.delta_m_bar
+    # mechanical quadrature reference, leaving the modulus.
+    g = np.where(np.isnan(c["G_m"]), math.sqrt(2.0) * c["g_m"] * np.abs(derived.m_s), c["G_m"])
     gamma = np.zeros((len(c), 6, 6))
     gamma[:, 0, 0] = gamma[:, 1, 1] = -c["kappa_a"]
     gamma[:, 0, 1], gamma[:, 1, 0] = c["delta_a"], -c["delta_a"]
     gamma[:, 0, 3] = gamma[:, 2, 1] = c["g_a"]
     gamma[:, 1, 2] = gamma[:, 3, 0] = -c["g_a"]
-    gamma[:, 2, 2], gamma[:, 3, 3] = -(kappa_m + split_kappa), -(kappa_m - split_kappa)
-    gamma[:, 2, 3], gamma[:, 3, 2] = delta_bar + split_delta, -(delta_bar - split_delta)
+    gamma[:, 2:4, 2:4] = np.moveaxis(_magnon_block(c, derived.delta_m_bar), -1, 0)
     gamma[:, 2, 4], gamma[:, 5, 3] = -g, g
     gamma[:, 4, 5], gamma[:, 5, 4] = c["omega_b"], -c["omega_b"]
     gamma[:, 5, 5] = -c["gamma_b"]

@@ -5,7 +5,10 @@ must leave the physics unchanged: a change of the unit of frequency, a
 relabeling of the modes, or a local symplectic transformation of each mode.
 The points are ``configs/default.yaml`` (direct ``G_m``) and the
 ``contrast_driven`` benchmark point (``G_m`` from ``g_m``, a drive and
-``omega_0``, with the self-consistent shift), each at eight phases.
+``omega_0``, with the self-consistent shift), each at eight phases.  The
+mean-field property compares the steady amplitude with the drift it feeds:
+both come from one Hamiltonian, so ``m_s`` solves the drift's own linear
+system, at drawn driven points.
 
 Each tolerance is a small multiple of the largest difference measured on
 the eight phases (x86_64, numpy 2.4 with OpenBLAS), stated beside it.
@@ -23,6 +26,7 @@ from magsqueeze import SystemParams
 from magsqueeze.analysis import evaluate
 from magsqueeze.config import load_config
 from magsqueeze.gaussian import three_mode_measures
+from magsqueeze.model import build_drift, derive_many
 
 from conftest import TWO_PI
 
@@ -50,6 +54,11 @@ UNITS_ATOL = {"default": 4e-15, "driven": 1.5e-13}
 RELABEL_ATOL = 2.5e-15
 # Largest |change| under 20 drawn local transformations: 3.7e-15.
 SYMPLECTIC_ATOL = 1e-14
+# Largest relative |change| of m_s against the drift's linear system over the
+# drawn points of seeds 0, 1 and 2: 2.8e-14 with direct detunings (500 draws
+# each); 1.35e-8 with the shift (300 draws each), where m_s is the amplitude
+# of the last trial detuning, one iterate before the returned one.
+MEAN_FIELD_RTOL = {"direct": 1e-13, "shifted": 5e-8}
 
 POINTS = {"default": DEFAULT, "driven": DRIVEN}
 
@@ -118,3 +127,35 @@ def test_local_symplectic_maps_leave_the_measures_unchanged(point):
         transformed, code, _ = three_mode_measures(s @ covariances @ s.T)
         assert (code == 0).all()
         np.testing.assert_allclose(transformed, measures, rtol=0, atol=SYMPLECTIC_ATOL)
+
+
+def _drawn_driven_points(kind: str, count: int) -> list[SystemParams]:
+    """``count`` drives of the driven point, at drawn detunings (``kind`` "direct")
+    or drawn drive frequencies with the self-consistent shift ("shifted")."""
+    rng = np.random.default_rng(0)
+    points = []
+    for _ in range(count):
+        drawn = dict(
+            g_a=TWO_PI * rng.uniform(0.0, 10e6), upsilon=TWO_PI * rng.uniform(0.0, 6.5e6),
+            theta=rng.uniform(0.0, TWO_PI), rabi=rng.uniform(1e13, 4e14),
+            kappa_m=TWO_PI * rng.uniform(0.2e6, 1.5e6),
+        )
+        if kind == "shifted":
+            drawn["omega_0"] = TWO_PI * (10e9 - rng.uniform(2e6, 20e6))
+        else:
+            delta_a, delta_m = TWO_PI * rng.uniform(-20e6, 20e6, 2)
+            drawn.update(omega_0=None, delta_a=delta_a, delta_m=delta_m)
+        points.append(replace(DRIVEN, **drawn))
+    return points
+
+
+@pytest.mark.parametrize(("kind", "count"), [("direct", 500), ("shifted", 300)])
+def test_steady_amplitude_solves_the_drifts_own_mean_field_system(kind, count):
+    # The cavity-magnon block G of the drift with the drive f = (0, 0, sqrt(2) rabi, 0)
+    # holds the mean-field equations: G x = -f and m_s = (x_m + i p_m) / sqrt(2).
+    for p in _drawn_driven_points(kind, count):
+        derived = derive_many([p])
+        assert derived.code[0] == 0
+        x = -np.linalg.solve(build_drift(p)[:4, :4], [0.0, 0.0, np.sqrt(2.0) * p.rabi, 0.0])
+        m = (x[2] + 1j * x[3]) / np.sqrt(2.0)
+        np.testing.assert_allclose(derived.m_s[0], m, rtol=MEAN_FIELD_RTOL[kind], atol=0)

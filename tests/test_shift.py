@@ -2,9 +2,12 @@
 
 The oracle is the scalar algorithm the batched solver replaced: plain
 fixed-point iteration, then downward bracketing and ``scipy.optimize.brentq``
-with the same tolerances.  It applies the same pole rule as the batched
-solver: the pole at the bare detuning is a resonance, a later trial on the
-pole counts as a positive residual, and the returned root must be off it.
+with the same tolerances.  Its amplitude is the closed form of the drift's
+cavity-magnon mean-field system, in which the squeezing drive enters as
+-upsilon (kappa_a^2 + delta_a^2) e^{-i theta}.  It applies the same pole rule
+as the batched solver: the pole at the bare detuning is a resonance, a later
+trial on the pole counts as a positive residual, and the returned root must
+be off it.
 """
 
 from __future__ import annotations
@@ -48,14 +51,15 @@ PHASES = (0.5 * np.pi, 1.5 * np.pi)
 
 
 def _amplitude(p: SystemParams, delta_a: float, delta_bar: float) -> complex | None:
-    """Scalar steady magnon amplitude; None within the 1e-6 pole tolerance."""
+    """Scalar steady magnon amplitude, the closed-form solution of the drift's
+    cavity-magnon block with the drive; None within the 1e-6 pole tolerance."""
     kappa_minus = (p.kappa_a - 1j * delta_a) * (p.kappa_m - 1j * delta_bar) + p.g_a**2
     kappa_plus = (p.kappa_a + 1j * delta_a) * (p.kappa_m + 1j * delta_bar) + p.g_a**2
     weight = delta_a**2 + p.kappa_a**2
     denominator = kappa_minus * kappa_plus - p.upsilon**2 * weight
     if abs(denominator) <= 1e-6 * (abs(kappa_minus * kappa_plus) + p.upsilon**2 * weight):
         return None
-    numerator = kappa_minus * (1j * delta_a + p.kappa_a) + p.upsilon * weight * np.exp(1j * p.theta)
+    numerator = kappa_minus * (1j * delta_a + p.kappa_a) - p.upsilon * weight * np.exp(-1j * p.theta)
     return complex(numerator / denominator * p.rabi)
 
 
@@ -180,12 +184,14 @@ def test_single_point_derive_is_the_batch_of_one():
 
 
 def test_pole_on_a_fixed_point_trial_no_longer_fails_the_point():
-    # contrast_driven seed 9, row 371, forward phase: the scalar fixed-point
-    # iteration passes within 1e-6 of the pole at its 106th amplitude (a
-    # trial at 1.73e7 rad/s); the bracket search then finds the root.
+    # A driven point of the drawn domain (g_a 8.05 MHz, upsilon 5.16 MHz,
+    # drive detuning 10.65 MHz, kappa_m 1.36 MHz): the scalar fixed-point
+    # iteration passes within 1e-6 of the pole at its 42nd amplitude (a trial
+    # at 6.20e7 rad/s); the bracket search then finds the root.
     p = replace(
-        DRIVEN, g_a=51618317.1863601, upsilon=26573798.31686299,
-        theta=1.5689446890049281, rabi=197999892424905.66,
+        DRIVEN, g_a=50599381.52357393, upsilon=32400117.623820905,
+        theta=1.3063629209329588, rabi=175308012766477.06,
+        omega_0=62764957010.15164, kappa_m=8561661.95053774,
     )
     with pytest.raises(ParametricResonanceError):
         oracle(p, trials_may_hit_pole=False)
@@ -193,7 +199,7 @@ def test_pole_on_a_fixed_point_trial_no_longer_fails_the_point():
     assert d.code[0] == 0
     delta_m_bar, q_s = d.delta_m_bar[0], -p.g_m * abs(complex(d.m_s[0])) ** 2 / p.omega_b
     assert delta_m_bar == pytest.approx(oracle(p)[0], rel=RTOL)
-    assert delta_m_bar == pytest.approx(5.4972150272e7, rel=1e-9)
+    assert delta_m_bar == pytest.approx(5.9514044095e7, rel=1e-9)
     assert delta_m_bar == pytest.approx(p.omega_m - p.omega_0 + p.g_m * q_s, rel=1e-9)
 
 
