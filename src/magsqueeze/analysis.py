@@ -33,11 +33,12 @@ from .errors import (
 from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
 from .model import (
     TWO_PI,
-    ParamColumns,
+    Columns,
     SystemParams,
     derive_many,
     diffusion_stack,
     drift_stack,
+    gather,
 )
 from .solver import steady_stack
 
@@ -187,15 +188,16 @@ class Evaluation(NamedTuple):
     value: np.ndarray
 
 
-def evaluate(points: Sequence[SystemParams] | ParamColumns) -> Evaluation:
-    """Steady states and measures of operating points.
+def evaluate(points: Sequence[SystemParams] | Columns) -> Evaluation:
+    """Steady states and measures of operating points, ``SystemParams`` or
+    their ``model.gather`` columns.
 
     One ``derive_many`` call covers all points and feeds the drift and
     diffusion stacks; stability, the Lyapunov solve and the measures run
     batched over up to ``_CHUNK`` points.
     """
-    columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
-    n = len(columns)
+    columns = points if isinstance(points, dict) else gather(points)
+    n = columns["theta"].size
     max_real = np.full(n, np.nan)
     covariances = np.full((n, 6, 6), np.nan)
     measures = np.full((n, 4), np.nan)
@@ -265,8 +267,9 @@ def _directions(
     if pairing is not None:
         swept = {name: np.repeat(column, 2) for name, column in swept.items()}
         swept["theta"] = np.tile([pairing.theta_forward, pairing.theta_backward], n)
-    base_values = ParamColumns.gather([base]).values
-    evaluation = evaluate(ParamColumns(n * phases, {**base_values, **swept}))
+    columns = {name: np.broadcast_to(column, (n * phases,))
+               for name, column in gather([base]).items()}
+    evaluation = evaluate({**columns, **swept})
     steady = (evaluation.code == OK).reshape(n, phases)
     # A point fails where any of its phases has a verdict other than ok or unstable.
     failed = np.isin(evaluation.code, (OK, UNSTABLE), invert=True).reshape(n, phases).any(axis=1)

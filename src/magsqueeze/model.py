@@ -29,7 +29,7 @@ from .errors import (
 
 __all__ = [
     "SystemParams",
-    "ParamColumns",
+    "gather",
     "DerivedColumns",
     "ValidityReport",
     "thermal_occupation",
@@ -181,49 +181,35 @@ def rabi_frequency(h_d: float, n_spins: float) -> float:
     return (math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * math.sqrt(n_spins) * h_d
 
 
-def _resolved(params: SystemParams) -> dict[str, float | None]:
-    """The bare detunings and the drive amplitude (None without a drive) of ``params``."""
-    resolved = {"delta_a": params.delta_a, "delta_m": params.delta_m, "omega_rabi": params.rabi}
+def _resolved(params: SystemParams) -> dict[str, float]:
+    """The bare detunings of ``params`` and, with ``h_d`` and no ``rabi``, its drive amplitude."""
+    resolved = {}
     if params.omega_0 is not None:
         resolved["delta_a"] = params.omega_a - params.omega_0
         resolved["delta_m"] = params.omega_m - params.omega_0
     if params.rabi is None and params.has_drive:
-        resolved["omega_rabi"] = rabi_frequency(params.h_d, total_spins(params.sphere_diameter))
+        resolved["rabi"] = rabi_frequency(params.h_d, total_spins(params.sphere_diameter))
     return resolved
 
 
 _FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SystemParams))
 
 
-@dataclass(frozen=True)
-class ParamColumns:
-    """Operating points as columns.
-
-    ``values`` maps every ``SystemParams`` field, with ``delta_a`` and
-    ``delta_m`` the bare detunings, and ``omega_rabi`` (the drive amplitude)
-    to a float64 array with one entry per point or to a value shared by all
-    ``size`` points; NaN stands for None.
-    """
-
-    size: int
-    values: dict[str, float | NDArray[np.float64]]
-
-    @classmethod
-    def gather(cls, points: Sequence[SystemParams]) -> ParamColumns:
-        """The columns of ``points``, one entry per point."""
-        # vars() lists the fields in order; the resolved values update or follow them.
-        rows = [list({**vars(p), **_resolved(p)}.values()) for p in points]
-        table = np.array(rows, dtype=float).reshape(len(rows), len(_FIELDS) + 1)
-        return cls(len(rows), dict(zip((*_FIELDS, "omega_rabi"), table.T)))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, name: str) -> NDArray[np.float64]:
-        return np.broadcast_to(self.values[name], (self.size,))
+# Operating points as columns: one float64 array per SystemParams field, all
+# the same length, NaN for None.  delta_a and delta_m hold the bare detunings
+# and rabi the resolved drive amplitude.
+Columns = dict[str, NDArray[np.float64]]
 
 
-def _magnon_block(c: ParamColumns | dict[str, NDArray], delta_bar: NDArray) -> list[list[NDArray]]:
+def gather(points: Sequence[SystemParams]) -> Columns:
+    """The columns of ``points``, one entry per point."""
+    # vars() lists the fields in order; the resolved values replace theirs.
+    rows = [list({**vars(p), **_resolved(p)}.values()) for p in points]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(_FIELDS))
+    return dict(zip(_FIELDS, table.T))
+
+
+def _magnon_block(c: Columns, delta_bar: NDArray) -> list[list[NDArray]]:
     """The drift's magnon block, rows and columns ``(x_m, p_m)``, per point of ``c``.
 
     The only place the squeezing drive enters the model: its phase splits the
@@ -237,10 +223,10 @@ def _magnon_block(c: ParamColumns | dict[str, NDArray], delta_bar: NDArray) -> l
 
 
 def _steady_amplitude(
-    c: dict[str, NDArray], idx: NDArray[np.intp], delta_m_bar: NDArray[np.float64]
+    c: Columns, idx: NDArray[np.intp], delta_m_bar: NDArray[np.float64]
 ) -> tuple[NDArray[np.complex128], NDArray[np.bool_]]:
-    """Steady magnon amplitudes of the points ``idx`` of the columns ``c`` (see
-    ``derive_many``), and where each is within the pole tolerance.
+    """Steady magnon amplitudes of the points ``idx`` of the columns ``c``, and
+    where each is within the pole tolerance.
 
     The mean-field equations are the drift's cavity-magnon block G with the
     drive f = (0, 0, sqrt(2) rabi, 0): G x = -f.  Eliminating the cavity
@@ -249,7 +235,8 @@ def _steady_amplitude(
     J = [[0, 1], [-1, 0]]; then m_s = (x_m + i p_m) / sqrt(2).  The pole
     tolerance bounds |det M| by 1e-6 of half its squared Frobenius norm.
     """
-    c = {name: column[idx] for name, column in c.items()}
+    c = {name: c[name][idx] for name in
+         ("kappa_a", "delta_a", "g_a", "kappa_m", "upsilon", "theta", "rabi")}
     (m00, m01), (m10, m11) = _magnon_block(c, delta_m_bar)
     load = c["g_a"] ** 2 / (c["kappa_a"] ** 2 + c["delta_a"] ** 2)
     m00, m11 = m00 - load * c["kappa_a"], m11 - load * c["kappa_a"]
@@ -303,7 +290,7 @@ def _brentq(
 
 
 def _self_consistent_shift(
-    c: dict[str, NDArray], idx: NDArray, delta_bar: NDArray, m_s: NDArray, code: NDArray
+    c: Columns, idx: NDArray, delta_bar: NDArray, m_s: NDArray, code: NDArray
 ) -> None:
     """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
 
@@ -377,23 +364,20 @@ class DerivedColumns(NamedTuple):
     code: NDArray[np.int8]
 
 
-def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns:
+def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
     """Effective magnon detunings and steady amplitudes of many operating
-    points, with one batched self-consistent shift.
+    points (``SystemParams`` or their ``gather`` columns), with one batched
+    self-consistent shift.
 
     A point at parametric resonance, or whose shift has no fixed point, gets
     the verdict code of the ``ParametricResonanceError`` ``_one`` raises for it.
     """
-    columns = points if isinstance(points, ParamColumns) else ParamColumns.gather(points)
-    c = {name: columns[name] for name in (
-        "kappa_a", "delta_a", "g_a", "kappa_m", "delta_m", "upsilon", "theta", "g_m", "omega_b"
-    )}
-    c["rabi"] = columns["omega_rabi"]
+    c = points if isinstance(points, dict) else gather(points)
     driven = ~np.isnan(c["rabi"])
-    shift = driven & ~np.isnan(columns["omega_0"]) & np.isnan(columns["G_m"])
+    shift = driven & ~np.isnan(c["omega_0"]) & np.isnan(c["G_m"])
     delta_bar = c["delta_m"].copy()
-    m_s = np.full(len(columns), np.nan, dtype=complex)
-    code = np.zeros(len(columns), dtype=np.int8)
+    m_s = np.full(driven.size, np.nan, dtype=complex)
+    code = np.zeros(driven.size, dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Direct detunings, or a direct G_m, leave the detuning unshifted.
         direct = np.flatnonzero(driven & ~shift)
@@ -403,28 +387,26 @@ def derive_many(points: Sequence[SystemParams] | ParamColumns) -> DerivedColumns
     return DerivedColumns(delta_bar, m_s, code)
 
 
-def _one(params: SystemParams) -> tuple[ParamColumns, DerivedColumns]:
+def _one(params: SystemParams) -> tuple[Columns, DerivedColumns]:
     """The columns and derivation of one point; raises its ``ParametricResonanceError``."""
-    columns = ParamColumns.gather([params])
+    columns = gather([params])
     derived = derive_many(columns)
     if derived.code[0]:
         raise verdict_error(derived.code[0])
     return columns, derived
 
 
-def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.float64]:
+def drift_stack(c: Columns, derived: DerivedColumns) -> NDArray[np.float64]:
     """Drift matrices of the linearized quadrature dynamics, one (6, 6) per point.
 
     Row/column order ``(x_a, p_a, x_m, p_m, q, p)``.  The squeezing drive
     enters the magnon block only (see ``_magnon_block``).  ``derived`` is
-    ``derive_many(columns)``; the matrix of a point it failed is not
-    meaningful.
+    ``derive_many(c)``; the matrix of a point it failed is not meaningful.
     """
-    c = columns
     # Real drift entry: the phase of i sqrt(2) g_m m_s is absorbed into the
     # mechanical quadrature reference, leaving the modulus.
     g = np.where(np.isnan(c["G_m"]), math.sqrt(2.0) * c["g_m"] * np.abs(derived.m_s), c["G_m"])
-    gamma = np.zeros((len(c), 6, 6))
+    gamma = np.zeros((derived.code.size, 6, 6))
     gamma[:, 0, 0] = gamma[:, 1, 1] = -c["kappa_a"]
     gamma[:, 0, 1], gamma[:, 1, 0] = c["delta_a"], -c["delta_a"]
     gamma[:, 0, 3] = gamma[:, 2, 1] = c["g_a"]
@@ -436,11 +418,10 @@ def drift_stack(columns: ParamColumns, derived: DerivedColumns) -> NDArray[np.fl
     return gamma
 
 
-def diffusion_stack(columns: ParamColumns) -> NDArray[np.float64]:
+def diffusion_stack(c: Columns) -> NDArray[np.float64]:
     """Diagonal input-noise matrices, one
     diag[kappa_a(2n_a+1) x2, kappa_m(2n_m+1) x2, 0, gamma_b(2n_b+1)] per point."""
-    c = columns
-    lam = np.zeros((len(c), 6, 6))
+    lam = np.zeros((c["temperature"].size, 6, 6))
     for rate, omega, diagonal in (
         ("kappa_a", "omega_a", [0, 1]), ("kappa_m", "omega_m", [2, 3]), ("gamma_b", "omega_b", [5])
     ):
@@ -459,7 +440,7 @@ def build_drift(params: SystemParams) -> NDArray[np.float64]:
 
 def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     """Input-noise matrix of one operating point (see ``diffusion_stack``)."""
-    return diffusion_stack(ParamColumns.gather([params]))[0]
+    return diffusion_stack(gather([params]))[0]
 
 
 def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityReport:
@@ -471,25 +452,23 @@ def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityRe
     """
     from .solver import stability  # local import keeps module layering acyclic
 
-    columns, derived = _one(params)
-    omega_rabi = float(columns["omega_rabi"][0])
     if kerr_coefficient < 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
     if not params.has_drive:
         raise InvalidInputError(f"validity checks need the steady amplitude: {_DRIVE_RULE}")
     if params.sphere_diameter is None:
         raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
+    columns, derived = _one(params)
+    rabi = float(columns["rabi"][0])
 
     amplitude = abs(complex(derived.m_s[0]))
     occupation = amplitude**2
     bound = 2.0 * total_spins(params.sphere_diameter) * SPIN_S
     kerr_shift = kerr_coefficient * amplitude**3
-    if omega_rabi > 0.0:
-        ratio = kerr_shift / omega_rabi
-    else:
-        ratio = 0.0 if kerr_shift == 0.0 else math.inf
+    # A zero drive gives m_s = 0 and so a zero Kerr shift.
+    ratio = kerr_shift / rabi if rabi else 0.0
     stable = stability(drift_stack(columns, derived)[0]).is_stable
     return ValidityReport(
-        amplitude, occupation, bound, kerr_coefficient, ratio, omega_rabi,
+        amplitude, occupation, bound, kerr_coefficient, ratio, rabi,
         low_excitation_ok=occupation < 0.01 * bound, kerr_ok=ratio < 0.5, stable=stable,
     )

@@ -222,6 +222,25 @@ class TestDerive:
         )
 
 
+    def test_mixed_drive_and_detuning_forms_batch_as_alone(self):
+        # Each point resolves its own detunings and drive inside one batch.
+        points = [
+            driven_params(),  # direct detunings, rabi
+            driven_params(rabi=None, h_d=2.87e-5),  # field-derived drive
+            driven_params(delta_a=None, delta_m=None, omega_0=TWO_PI * (10e9 - 10e6),
+                          G_m=None, rabi=1e15),  # shifted by the backaction
+            make_params(),  # undriven, direct G_m
+        ]
+        derived, evaluation = derive_many(points), evaluate(points)
+        assert not evaluation.code.any()
+        assert np.isnan(derived.m_s[3]) and not np.isnan(derived.m_s[:3]).any()
+        assert derived.delta_m_bar[2] != points[2].omega_m - points[2].omega_0
+        for k, p in enumerate(points):
+            for batch, alone in ((derived, derive_many([p])), (evaluation, evaluate([p]))):
+                for field in batch._fields:
+                    np.testing.assert_array_equal(getattr(batch, field)[k], getattr(alone, field)[0])
+
+
 class TestSteadyAmplitude:
     def test_frozen_working_point(self):
         m_s = derive_many([driven_params()]).m_s[0]
@@ -462,3 +481,15 @@ class TestValidityReport:
     def test_requires_sphere(self):
         with pytest.raises(InvalidInputError):
             validity_report(driven_params(sphere_diameter=None), TWO_PI * 6.4e-9)
+
+    @pytest.mark.parametrize(
+        ("kerr", "sphere"), [(-1.0, DIAMETER), (TWO_PI * 6.4e-9, None)],
+        ids=["negative_kerr", "no_sphere"],
+    )
+    def test_inputs_checked_before_the_point_is_solved(self, kerr, sphere):
+        # At parametric resonance (g_a = 0, upsilon^2 = kappa_m^2 + delta_m^2)
+        # solving the point raises; a bad input must be reported first.
+        critical = float(np.hypot(TWO_PI * 0.6e6, TWO_PI * 10e6))
+        p = driven_params(g_a=0.0, upsilon=critical, rabi=1e14, sphere_diameter=sphere)
+        with pytest.raises(InvalidInputError):
+            validity_report(p, kerr)
