@@ -221,7 +221,6 @@ class TestDerive:
             2.0 * BASE_PARAMS["kappa_m"], rel=1e-12
         )
 
-
     def test_mixed_drive_and_detuning_forms_batch_as_alone(self):
         # Each point resolves its own detunings and drive inside one batch.
         points = [
@@ -238,7 +237,9 @@ class TestDerive:
         for k, p in enumerate(points):
             for batch, alone in ((derived, derive_many([p])), (evaluation, evaluate([p]))):
                 for field in batch._fields:
-                    np.testing.assert_array_equal(getattr(batch, field)[k], getattr(alone, field)[0])
+                    np.testing.assert_array_equal(
+                        getattr(batch, field)[k], getattr(alone, field)[0]
+                    )
 
 
 class TestSteadyAmplitude:
