@@ -36,7 +36,6 @@ JOBS: tuple[tuple[str, str], ...] = (
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default=str(ROOT / "results"))
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--only", default="", help="run only configs whose name contains this")
     args = parser.parse_args(argv)
 
@@ -46,8 +45,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         config = ROOT / "configs" / f"{name}.yaml"
         out_dir = Path(args.output) / name
-        argv_job = [command, "--config", str(config), "--output", str(out_dir),
-                    "--format", args.format]
+        argv_job = [command, "--config", str(config), "--output", str(out_dir)]
         start = time.perf_counter()
         code = cli.main(argv_job)
         print(f"[{name}] exit {code} in {time.perf_counter() - start:.1f} s -> {out_dir}")

@@ -254,53 +254,27 @@ def contrast_ratio(forward: float, backward: float) -> float:
     return float(_contrast(np.float64(forward), np.float64(backward)))
 
 
-def _directions(
-    base: SystemParams, swept: dict[str, np.ndarray], n: int, pairing: PhasePairing | None
-) -> tuple[Evaluation, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Evaluate ``n`` points, the columns ``swept`` over ``base``, at each
-    phase of ``pairing`` (or at their own phase without one).
-
-    Returns the evaluation, which (n, phases) points have a steady state,
-    which of the ``n`` points failed, and the (n, 4) contrasts with a pairing.
-    """
-    phases = 1 if pairing is None else 2
-    if pairing is not None:
-        swept = {name: np.repeat(column, 2) for name, column in swept.items()}
-        swept["theta"] = np.tile([pairing.theta_forward, pairing.theta_backward], n)
-    columns = {name: np.broadcast_to(column, (n * phases,))
-               for name, column in gather([base]).items()}
-    evaluation = evaluate({**columns, **swept})
-    steady = (evaluation.code == OK).reshape(n, phases)
-    # A point fails where any of its phases has a verdict other than ok or unstable.
-    failed = np.isin(evaluation.code, (OK, UNSTABLE), invert=True).reshape(n, phases).any(axis=1)
-    if pairing is None:
-        return evaluation, steady, failed, None
-    # A phase with no steady state carries no steady entanglement.
-    measures = np.where(steady[..., None], evaluation.measures.reshape(n, 2, 4), 0.0)
-    return evaluation, steady, failed, _contrast(measures[:, 0], measures[:, 1])
-
-
 def directional_measures(params: SystemParams, pairing: PhasePairing) -> ContrastRecord:
-    """Solve both phases of a pairing and form the four contrast ratios.
+    """Solve both phases of a pairing in one batch and form the four contrast ratios.
 
-    Raises ``NoMeasuresError`` when neither phase admits a steady state.
+    Raises the verdict of a phase that fails, and ``NoMeasuresError`` when
+    neither phase admits a steady state.
     """
-    evaluation, steady, _, contrasts = _directions(params, {}, 1, pairing)
+    thetas = (pairing.theta_forward, pairing.theta_backward)
+    evaluation = evaluate([replace(params, theta=theta) for theta in thetas])
     for code, value in zip(evaluation.code, evaluation.value):
         if code not in (OK, UNSTABLE):
             raise verdict_error(code, value)
+    steady = evaluation.code == OK
     if not steady.any():
-        raise NoMeasuresError(
-            "neither phase setting of the pairing admits a steady state"
-        )
+        raise NoMeasuresError("neither phase setting of the pairing admits a steady state")
     forward, backward = (
         DirectionalPoint(theta, stable, *_nullable(measures))
-        for theta, stable, measures in zip(
-            (pairing.theta_forward, pairing.theta_backward), steady[0].tolist(),
-            evaluation.measures,
-        )
+        for theta, stable, measures in zip(thetas, steady.tolist(), evaluation.measures)
     )
-    return ContrastRecord(*contrasts[0].tolist(), forward, backward)
+    # A phase with no steady state carries no steady entanglement.
+    filled = np.where(steady[:, None], evaluation.measures, 0.0)
+    return ContrastRecord(*_contrast(filled[0], filled[1]).tolist(), forward, backward)
 
 
 def _validate_axes(
@@ -359,20 +333,27 @@ def sweep(
     if "theta" in swept:
         swept["theta"] = np.mod(swept["theta"], TWO_PI)  # as SystemParams normalizes it
     n = mesh[0].size
-    evaluation, steady, failed, contrasts = _directions(params_base, swept, n, pairing)
-    phases = steady.shape[1]
-    # A null point has no steady state at any phase, or failed.
-    stable = steady[:, 0] & ~failed
-    backward_stable = None if pairing is None else steady[:, 1] & ~failed
-    shown = stable if backward_stable is None else stable | backward_stable
-    if contrasts is not None:
-        contrasts = np.where(shown[:, None], contrasts, np.nan)
-    forward = np.where(stable[:, None], evaluation.measures[::phases], np.nan)
-
-    return SweepResult(
-        axes=grid_axes, stable=stable, failed=failed,
-        measures=forward, backward_stable=backward_stable, contrasts=contrasts,
-    )
+    phases = 1 if pairing is None else 2
+    if pairing is not None:
+        swept = {name: np.repeat(column, 2) for name, column in swept.items()}
+        swept["theta"] = np.tile([pairing.theta_forward, pairing.theta_backward], n)
+    columns = {name: np.broadcast_to(column, (n * phases,))
+               for name, column in gather([params_base]).items()}
+    evaluation = evaluate({**columns, **swept})
+    code = evaluation.code.reshape(n, phases)
+    measures = evaluation.measures.reshape(n, phases, 4)
+    # A point fails where any of its phases has a verdict other than ok or unstable.
+    failed = np.isin(code, (OK, UNSTABLE), invert=True).any(axis=1)
+    steady = (code == OK) & ~failed[:, None]
+    forward = np.where(steady[:, :1], measures[:, 0], np.nan)
+    if pairing is None:
+        return SweepResult(axes=grid_axes, stable=steady[:, 0], failed=failed, measures=forward)
+    # A phase with no steady state carries no steady entanglement; a point
+    # with none at either phase, or that failed, has no contrasts.
+    filled = np.where(steady[..., None], measures, 0.0)
+    contrasts = np.where(steady.any(axis=1, keepdims=True),
+                         _contrast(filled[:, 0], filled[:, 1]), np.nan)
+    return SweepResult(grid_axes, steady[:, 0], failed, forward, steady[:, 1], contrasts)
 
 
 def temperature_thresholds(result: SweepResult, measure: str) -> list[tuple[float, float]]:

@@ -220,12 +220,12 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     ------
     InvalidStateError
         If ``v`` is unphysical.
-    NumericalError
-        If ``v`` is positive definite with a condition number above 1e7,
-        where rounding alone gives a product state a negativity above 1e-9.
     InvalidInputError
-        If the partition does not cover exactly 2 or 3 modes with at least
-        one party being a single mode.
+        If ``v`` is not positive definite, or the partition does not cover
+        exactly 2 or 3 modes with at least one party being a single mode.
+    NumericalError
+        If ``v`` has a condition number above 1e7, where rounding alone
+        gives a product state a negativity above 1e-9.
     """
     modes = partition.modes
     if modes[-1] >= v.n_modes:
@@ -234,12 +234,9 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         raise InvalidInputError("partition must cover 2 or 3 modes in total")
     if min(len(partition.party_a), len(partition.party_b)) != 1:
         raise InvalidInputError("partition must be 1|1 or 1|2")
-    report = check_physicality(v)
-    if not report.is_physical:
-        raise verdict_error(UNPHYSICAL, report.min_eigenvalue)
-    spectrum = np.linalg.eigvalsh(v.data)
-    if spectrum[0] > 0.0 and not spectrum[-1] / spectrum[0] <= CONDITION_BOUND:
-        raise verdict_error(ILL_CONDITIONED, spectrum[-1] / spectrum[0])
+    code, value = _exact_verdicts(v.data[None])
+    if code[0]:
+        raise verdict_error(code[0], value[0])
 
     sub = v.restricted(modes)
     local_a = [modes.index(m) for m in partition.party_a]
@@ -375,8 +372,10 @@ def _certified(stack: NDArray[np.float64]) -> NDArray[np.bool_]:
 
 
 def _exact_verdicts(stack: NDArray[np.float64]) -> tuple[NDArray[np.int8], NDArray[np.float64]]:
-    """Verdict codes of (n, 6, 6) states from their uncertainty floors and spectra, and the
-    float each message quotes (the condition number where ill-conditioned, else the floor)."""
+    """Verdict codes of (n, 2m, 2m) states from their uncertainty floors and spectra, and the
+    float each message quotes (the condition number where ill-conditioned, else the floor).
+
+    The state checks of ``log_negativity`` and of the states ``_certified`` cannot clear."""
     floor = _uncertainty_floor(stack)
     spectrum = np.linalg.eigvalsh(stack)
     with np.errstate(divide="ignore", invalid="ignore"):

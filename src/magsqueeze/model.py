@@ -125,6 +125,8 @@ class SystemParams:
         # The diameter sets the spin count of the drive and of the validity bound.
         if self.sphere_diameter is not None and not self.sphere_diameter > 0.0:
             raise InvalidInputError("sphere_diameter must be positive")
+        if self.sphere_diameter is not None and math.isinf(total_spins(self.sphere_diameter)):
+            raise InvalidInputError("sphere_diameter must give a finite spin count")
 
     @property
     def has_drive(self) -> bool:
@@ -165,11 +167,17 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+@np.errstate(over="ignore")
+def _power(x: float, k: int) -> float:
+    """``x**k`` as Python rounds it, but inf where Python's ``**`` raises ``OverflowError``."""
+    return float(np.float64(x) ** k)
+
+
 def total_spins(sphere_diameter: float) -> float:
-    """Total spin count of a YIG sphere: ``SPIN_DENSITY`` times (pi/6) d^3."""
+    """Total spin count of a YIG sphere: ``SPIN_DENSITY`` times (pi/6) d^3, inf on overflow."""
     if sphere_diameter <= 0.0:
         raise InvalidInputError(f"sphere_diameter must be positive, got {sphere_diameter}")
-    return SPIN_DENSITY * (math.pi / 6.0) * sphere_diameter**3
+    return SPIN_DENSITY * (math.pi / 6.0) * _power(sphere_diameter, 3)
 
 
 def rabi_frequency(h_d: float, n_spins: float) -> float:
@@ -462,9 +470,10 @@ def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityRe
     rabi = float(columns["rabi"][0])
 
     amplitude = abs(complex(derived.m_s[0]))
-    occupation = amplitude**2
+    # An amplitude whose powers overflow reads inf and fails the checks.
+    occupation = _power(amplitude, 2)
     bound = 2.0 * total_spins(params.sphere_diameter) * SPIN_S
-    kerr_shift = kerr_coefficient * amplitude**3
+    kerr_shift = kerr_coefficient * _power(amplitude, 3)
     # A zero drive gives m_s = 0 and so a zero Kerr shift.
     ratio = kerr_shift / rabi if rabi else 0.0
     stable = stability(drift_stack(columns, derived)[0]).is_stable

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,22 @@ class TestSweep:
         )
         assert c_mb[1] == pytest.approx(direct.c_mb, rel=1e-12)
         assert measure(result, 1, "E_mb") == pytest.approx(direct.forward.e_mb, rel=1e-12)
+
+    def test_driven_rows_equal_directional_measures(self):
+        # G_m from a drive with the self-consistent shift.  The last row's
+        # backward phase is unstable, so its contrasts are zero-filled.
+        base = make_params(delta_a=None, delta_m=None, G_m=None, omega_0=TWO_PI * 9.99e9,
+                           g_m=TWO_PI * 0.2, rabi=2.0e14)
+        pairing = PhasePairing(np.pi / 2, 1.5 * np.pi)
+        upsilons = [0.5 * KAPPA_A, 1.3 * KAPPA_A, 2.0 * KAPPA_A]
+        result = sweep(base, [("upsilon", upsilons)], pairing=pairing)
+        assert result.backward_stable.tolist() == [True, True, False]
+        for k, upsilon in enumerate(upsilons):
+            record = directional_measures(replace(base, upsilon=upsilon), pairing)
+            forward = [np.nan if m is None else m for m in record.forward[2:]]
+            np.testing.assert_array_equal(result.stable[k], record.forward.stable)
+            np.testing.assert_array_equal(result.measures[k], forward)
+            np.testing.assert_array_equal(result.contrasts[k], record[:4])
 
     def test_pairing_with_both_sides_unstable_yields_null_record(self):
         result = sweep(

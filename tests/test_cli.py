@@ -128,6 +128,16 @@ class TestSteady:
         assert captured.out == ""
         assert captured.err == "error: invalid parameters: sphere_diameter must be positive\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_prints_failed_validity(self, tmp_path, capsys):
+        # The amplitude's cube overflows a float; the measures are unaffected.
+        code = cli.main(["steady", "--config", str(REPO_CONFIGS / "default.yaml"),
+                         "--output", str(tmp_path), "--set", "rabi_rad_per_s=1e120"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "low-excitation FAIL)\n" in captured.out
+        assert "validity: Kerr/drive ratio = inf (threshold 0.5, FAIL)\n" in captured.out
+
     def test_missing_key_is_named(self, tmp_path, capsys):
         params = dict(BASE_PARAMETERS)
         del params["upsilon_over_2pi_hz"]
@@ -202,6 +212,17 @@ def test_nonfinite_section_value_exits_2(tmp_path, capsys, command, key, value):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, config", [("steady", "default.yaml"), ("validate", "validate.yaml")])
+def test_sphere_without_a_finite_spin_count_exits_2(tmp_path, capsys, command, config):
+    argv = [command, "--config", str(REPO_CONFIGS / config), "--output", str(tmp_path)]
+    assert cli.main([*argv, "--set", "sphere_diameter_m=1e120"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid parameters: sphere_diameter must give a finite spin count\n"
+    )
 
 
 def sweep_tree() -> dict:
@@ -366,6 +387,18 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == 1
         assert "overall: FAIL" in out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rabi", ["1e120", "1e200"])
+    def test_overflowing_amplitude_fails(self, capsys, rabi):
+        # The cube of the amplitude overflows at 1e120, its square too at 1e200.
+        code = cli.main(["validate", "--config", str(REPO_CONFIGS / "validate.yaml"),
+                         "--set", f"rabi_rad_per_s={rabi}"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert "low-excitation FAIL)\n" in captured.out
+        assert "validity: Kerr/drive ratio = inf (threshold 0.5, FAIL)\n" in captured.out
+        assert captured.out.endswith("overall: FAIL\n")
 
     def test_missing_kerr_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})

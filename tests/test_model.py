@@ -145,6 +145,11 @@ class TestSystemParams:
             make_params(h_d=2.87e-5, sphere_diameter=diameter)
         assert make_params(sphere_diameter=DIAMETER).sphere_diameter == DIAMETER
 
+    def test_rejects_a_sphere_whose_spin_count_overflows(self):
+        assert total_spins(1e120) == np.inf
+        with pytest.raises(InvalidInputError, match="^sphere_diameter must give a finite spin count$"):
+            make_params(h_d=2.87e-5, sphere_diameter=1e120)
+
     def test_rejects_zero_dissipation(self):
         with pytest.raises(InvalidInputError):
             make_params(kappa_a=0.0)
@@ -470,6 +475,16 @@ class TestValidityReport:
             driven_params(upsilon=2.0 * KAPPA_A, theta=1.5 * np.pi), TWO_PI * 6.4e-9
         )
         assert not report.stable
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rabi", [1e120, 1e200])
+    def test_overflowing_amplitude_fails_its_checks(self, rabi):
+        # The amplitude is finite; its cube overflows at 1e120, its square too at 1e200.
+        report = validity_report(driven_params(rabi=rabi), TWO_PI * 6.4e-9)
+        assert np.isfinite(report.magnon_amplitude)
+        assert report.kerr_drive_ratio == np.inf
+        assert (report.magnon_occupation == np.inf) == (rabi == 1e200)
+        assert not report.low_excitation_ok and not report.kerr_ok
 
     def test_rejects_negative_kerr(self):
         with pytest.raises(InvalidInputError):

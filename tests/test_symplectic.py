@@ -190,10 +190,10 @@ def assert_verdicts_match_scalar(stack: np.ndarray) -> list[MagsqueezeError | No
     return errors
 
 
-def indefinite_state() -> np.ndarray:
-    """Physical within the 1e-9 slack, but the cavity block has a zero eigenvalue."""
+def indefinite_state(mode: int = 0) -> np.ndarray:
+    """Physical within the 1e-9 slack, but the block of ``mode`` has a zero eigenvalue."""
     v = 0.5 * np.eye(6)
-    v[0, 0], v[1, 1] = 0.0, 3e8
+    v[2 * mode, 2 * mode], v[2 * mode + 1, 2 * mode + 1] = 0.0, 3e8
     return v
 
 
@@ -204,6 +204,17 @@ def test_crafted_verdicts_match_the_scalar_path():
     assert errors[0] is None and errors[3] is None and errors[4] is None
     assert isinstance(errors[1], InvalidStateError) and "uncertainty bound" in str(errors[1])
     assert isinstance(errors[2], InvalidInputError) and "positive definite" in str(errors[2])
+
+
+@pytest.mark.parametrize("mode", range(3))
+def test_each_pair_rejects_an_indefinite_state(mode):
+    # The whole state is checked, not the pair's block: a pair without the
+    # zero eigenvalue rejects the state as the batch does.
+    state = CovarianceMatrix(indefinite_state(mode))
+    for partition in PARTITIONS[:3]:
+        with pytest.raises(InvalidInputError, match="positive definite"):
+            log_negativity(state, partition)
+    assert_verdicts_match_scalar(state.data[None])
 
 
 def test_non_positive_spectrum_verdict_matches_the_scalar_path(monkeypatch):
