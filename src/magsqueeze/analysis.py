@@ -179,6 +179,7 @@ class Evaluation(NamedTuple):
     ``errors.verdict_error(code[k], value[k])`` is the exception the scalar
     path raises for it; ``value`` is NaN for a stable point.  ``measures``
     holds E_am, E_ab, E_mb and R_min per row, NaN unless the point is stable.
+    ``m_s`` is the steady magnon amplitude of ``derive_many``, NaN without a drive.
     """
 
     max_real_part: np.ndarray
@@ -186,6 +187,7 @@ class Evaluation(NamedTuple):
     measures: np.ndarray
     code: np.ndarray
     value: np.ndarray
+    m_s: np.ndarray
 
 
 def evaluate(points: Sequence[SystemParams] | Columns) -> Evaluation:
@@ -214,7 +216,7 @@ def evaluate(points: Sequence[SystemParams] | Columns) -> Evaluation:
         steady = solved[code[solved] == OK]
         if steady.size:
             measures[steady], code[steady], value[steady] = three_mode_measures(covariances[steady])
-    return Evaluation(max_real, covariances, measures, code, value)
+    return Evaluation(max_real, covariances, measures, code, value, derived.m_s)
 
 
 def steady_state(params: SystemParams) -> CovarianceMatrix:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import CONTRASTS, evaluate, sweep, temperature_thresholds
+from .analysis import CONTRASTS, Evaluation, evaluate, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
     UNSTABLE,
@@ -66,13 +66,13 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _print_validity(config: RunConfig) -> ValidityReport | None:
-    """Print the validity report and return it; None if unavailable."""
+def _print_validity(config: RunConfig, evaluation: Evaluation) -> ValidityReport | None:
+    """Print the validity report of ``evaluation``'s point; return it, or None if unavailable."""
     if config.kerr is None:
         print("validity: skipped (set validate.kerr_over_2pi_hz to enable)")
         return None
     try:
-        report = validity_report(config.params, config.kerr)
+        report = validity_report(config.params, config.kerr, evaluation.m_s[0], evaluation.code[0])
     except InvalidInputError as exc:
         print(f"validity: skipped ({exc})")
         return None
@@ -106,7 +106,7 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
     print(f"E_ab = {_fmt(e_ab)}")
     print(f"E_mb = {_fmt(e_mb)}")
     print(f"R_min = {_fmt(r_min)}")
-    _print_validity(config)
+    _print_validity(config, evaluation)
 
     if config.dump_covariance:
         out = _writable_dir(out_dir)
@@ -193,7 +193,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
 def cmd_validate(config: RunConfig) -> int:
     if config.kerr is None:
         raise ConfigError("the validate command needs validate.kerr_over_2pi_hz in the config")
-    report = _print_validity(config)
+    report = _print_validity(config, evaluate([config.params]))
     if report is None:
         raise ConfigError(
             "validity checks need drive (rabi_rad_per_s or h_d_tesla) and sphere_diameter_m"

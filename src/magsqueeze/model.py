@@ -22,7 +22,9 @@ from numpy.typing import NDArray
 
 from .errors import (
     NO_FIXED_POINT,
+    NON_FINITE,
     RESONANCE,
+    UNSTABLE,
     InvalidInputError,
     verdict_error,
 )
@@ -378,7 +380,7 @@ def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
     self-consistent shift.
 
     A point at parametric resonance, or whose shift has no fixed point, gets
-    the verdict code of the ``ParametricResonanceError`` ``_one`` raises for it.
+    the verdict code of the ``ParametricResonanceError`` ``build_drift`` raises for it.
     """
     c = points if isinstance(points, dict) else gather(points)
     driven = ~np.isnan(c["rabi"])
@@ -393,15 +395,6 @@ def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
         code[direct[pole]] = RESONANCE
         _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, code)
     return DerivedColumns(delta_bar, m_s, code)
-
-
-def _one(params: SystemParams) -> tuple[Columns, DerivedColumns]:
-    """The columns and derivation of one point; raises its ``ParametricResonanceError``."""
-    columns = gather([params])
-    derived = derive_many(columns)
-    if derived.code[0]:
-        raise verdict_error(derived.code[0])
-    return columns, derived
 
 
 def drift_stack(c: Columns, derived: DerivedColumns) -> NDArray[np.float64]:
@@ -442,8 +435,12 @@ def diffusion_stack(c: Columns) -> NDArray[np.float64]:
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
-    """Drift matrix of one operating point (see ``drift_stack``)."""
-    return drift_stack(*_one(params))[0]
+    """Drift matrix of one operating point (see ``drift_stack``); raises its resonance verdict."""
+    columns = gather([params])
+    derived = derive_many(columns)
+    if derived.code[0]:
+        raise verdict_error(derived.code[0])
+    return drift_stack(columns, derived)[0]
 
 
 def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
@@ -451,32 +448,33 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     return diffusion_stack(gather([params]))[0]
 
 
-def validity_report(params: SystemParams, kerr_coefficient: float) -> ValidityReport:
-    """Check the linearization against excitation-number and Kerr bounds.
+def validity_report(
+    params: SystemParams, kerr_coefficient: float, m_s: complex, code: int
+) -> ValidityReport:
+    """Check the linearization of a point against excitation-number and Kerr bounds.
 
-    Requires the steady amplitude (a drive specification) and the sphere
-    diameter for the spin-count bound.  ``stable`` reflects the drift
-    matrix spectrum at this operating point.
+    ``m_s`` and ``code`` are its entries of ``analysis.evaluate``; a drive and
+    the sphere diameter are checked before a resonance code raises.  Verdicts
+    run in pipeline order: all but non_finite and unstable have a stable drift.
     """
-    from .solver import stability  # local import keeps module layering acyclic
-
     if kerr_coefficient < 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
     if not params.has_drive:
         raise InvalidInputError(f"validity checks need the steady amplitude: {_DRIVE_RULE}")
     if params.sphere_diameter is None:
         raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
-    columns, derived = _one(params)
-    rabi = float(columns["rabi"][0])
+    if code in (RESONANCE, NO_FIXED_POINT):
+        raise verdict_error(code)
+    rabi = _resolved(params).get("rabi", params.rabi)
 
-    amplitude = abs(complex(derived.m_s[0]))
+    amplitude = abs(complex(m_s))
     # An amplitude whose powers overflow reads inf and fails the checks.
     occupation = _power(amplitude, 2)
     bound = 2.0 * total_spins(params.sphere_diameter) * SPIN_S
     kerr_shift = kerr_coefficient * _power(amplitude, 3)
     # A zero drive gives m_s = 0 and so a zero Kerr shift.
     ratio = kerr_shift / rabi if rabi else 0.0
-    stable = stability(drift_stack(columns, derived)[0]).is_stable
+    stable = code not in (NON_FINITE, UNSTABLE)
     return ValidityReport(
         amplitude, occupation, bound, kerr_coefficient, ratio, rabi,
         low_excitation_ok=occupation < 0.01 * bound, kerr_ok=ratio < 0.5, stable=stable,

@@ -73,8 +73,7 @@ def stability(gamma: NDArray[np.float64]) -> StabilityReport:
     -1e-12 times the spectral radius, so marginal cases rounded onto the
     imaginary axis are not misreported as stable.
     """
-    arr = _checked_square(gamma, "gamma")
-    eigenvalues = np.linalg.eigvals(arr)
+    eigenvalues = np.linalg.eigvals(_checked_square(gamma, "gamma"))
     return StabilityReport(
         eigenvalues=eigenvalues,
         max_real_part=float(eigenvalues.real.max()),
@@ -130,9 +129,11 @@ def steady_stack(
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Lyapunov system solve failed: {exc}") from exc
     v = x[:, index, 0]
-    norm_l = np.maximum(np.linalg.norm(lam, axis=(1, 2)), 1e-300)
     covariances[stable] = v
-    residuals[stable] = np.linalg.norm(g @ v + v @ g.transpose(0, 2, 1) + lam, axis=(1, 2)) / norm_l
+    # Both norms scale by max|Lambda|, as squares of entries near the float range overflow.
+    scale = np.maximum(np.abs(lam).max(axis=(1, 2), keepdims=True), 1e-300)
+    residual = np.linalg.norm((g @ v + v @ g.transpose(0, 2, 1) + lam) / scale, axis=(1, 2))
+    residuals[stable] = residual / np.maximum(np.linalg.norm(lam / scale, axis=(1, 2)), 1.0)
     code = np.select([~finite, ~stable, ~(residuals <= RESIDUAL_BOUND)],
                      [NON_FINITE, UNSTABLE, RESIDUAL], OK).astype(np.int8)
     return max_real, covariances, code, np.where(stable, residuals, max_real)

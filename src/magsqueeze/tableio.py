@@ -101,8 +101,7 @@ def read_csv(path: str | Path) -> ResultTable:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition(" = ")
+            key, _, value = line[1:].strip().partition(" = ")
             metadata.append((key, value))
             continue
         if columns is None:

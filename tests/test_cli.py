@@ -437,6 +437,42 @@ class TestValidate:
         assert done.stdout.endswith(f"overall: {verdict}\n")
 
 
+@pytest.mark.parametrize("command, config", [("steady", "default.yaml"), ("validate", "validate.yaml")])
+class TestOneSolvePerCommand:
+    def test_one_derivation_and_one_eigensolve(self, monkeypatch, tmp_path, capsys, command, config):
+        # The validity report reads the point's evaluation instead of solving it again.
+        from magsqueeze import analysis, model
+
+        calls = {"derive_many": 0, "eigvals": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        derive = counted("derive_many", model.derive_many)
+        for module in (model, analysis):
+            monkeypatch.setattr(module, "derive_many", derive)
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        argv = [command, "--config", str(REPO_CONFIGS / config), "--output", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == {"derive_many": 1, "eigvals": 1}
+
+    @pytest.mark.filterwarnings("error")
+    def test_diffusion_near_the_float_range_solves(self, tmp_path, capsys, command, config):
+        # Squares of the diffusion entries overflow; the residual norm is taken on
+        # matrices scaled by max|Lambda|, and the bath kills the entanglement.
+        code = cli.main([command, "--config", str(REPO_CONFIGS / config), "--output",
+                         str(tmp_path), "--set", "temperature_value=1e300"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        if command == "steady":
+            assert all(v == 0.0 for v in measure_lines(captured.out).values())
+        else:
+            assert captured.out.endswith("overall: PASS\n")
+
+
 class TestThreads:
     @pytest.mark.parametrize(
         "command, config",

@@ -445,9 +445,15 @@ class TestDiffusion:
         )
 
 
+def report_of(params: SystemParams, kerr_coefficient: float):
+    """``validity_report`` of ``params`` on its row of the one-point ``evaluate``."""
+    evaluation = evaluate([params])
+    return validity_report(params, kerr_coefficient, evaluation.m_s[0], evaluation.code[0])
+
+
 class TestValidityReport:
     def test_working_point_passes(self):
-        report = validity_report(driven_params(), TWO_PI * 6.4e-9)
+        report = report_of(driven_params(), TWO_PI * 6.4e-9)
         assert report.low_excitation_ok and report.kerr_ok and report.stable
         assert report.magnon_occupation == report.magnon_amplitude**2
         assert report.excitation_bound == pytest.approx(5.0 * N_SPINS, rel=1e-12)
@@ -455,23 +461,23 @@ class TestValidityReport:
 
     def test_field_derived_drive(self):
         p = driven_params(rabi=None, h_d=2.87e-5)
-        report = validity_report(p, TWO_PI * 6.4e-9)
+        report = report_of(p, TWO_PI * 6.4e-9)
         assert report.drive_amplitude == pytest.approx(524457568232321.2, rel=1e-12)
         assert report.low_excitation_ok
 
     def test_overdriven_field_fails(self):
         p = driven_params(rabi=None, h_d=2.87e-3)
-        report = validity_report(p, TWO_PI * 6.4e-9)
+        report = report_of(p, TWO_PI * 6.4e-9)
         assert not report.low_excitation_ok
         assert not report.kerr_ok
 
     def test_temperature_does_not_enter(self):
-        cold = validity_report(driven_params(), TWO_PI * 6.4e-9)
-        warm = validity_report(driven_params(temperature=0.2), TWO_PI * 6.4e-9)
+        cold = report_of(driven_params(), TWO_PI * 6.4e-9)
+        warm = report_of(driven_params(temperature=0.2), TWO_PI * 6.4e-9)
         assert cold == warm
 
     def test_unstable_point_reported(self):
-        report = validity_report(
+        report = report_of(
             driven_params(upsilon=2.0 * KAPPA_A, theta=1.5 * np.pi), TWO_PI * 6.4e-9
         )
         assert not report.stable
@@ -480,7 +486,7 @@ class TestValidityReport:
     @pytest.mark.parametrize("rabi", [1e120, 1e200])
     def test_overflowing_amplitude_fails_its_checks(self, rabi):
         # The amplitude is finite; its cube overflows at 1e120, its square too at 1e200.
-        report = validity_report(driven_params(rabi=rabi), TWO_PI * 6.4e-9)
+        report = report_of(driven_params(rabi=rabi), TWO_PI * 6.4e-9)
         assert np.isfinite(report.magnon_amplitude)
         assert report.kerr_drive_ratio == np.inf
         assert (report.magnon_occupation == np.inf) == (rabi == 1e200)
@@ -488,15 +494,15 @@ class TestValidityReport:
 
     def test_rejects_negative_kerr(self):
         with pytest.raises(InvalidInputError):
-            validity_report(driven_params(), -1.0)
+            report_of(driven_params(), -1.0)
 
     def test_requires_drive(self):
         with pytest.raises(InvalidInputError):
-            validity_report(make_params(sphere_diameter=DIAMETER), TWO_PI * 6.4e-9)
+            report_of(make_params(sphere_diameter=DIAMETER), TWO_PI * 6.4e-9)
 
     def test_requires_sphere(self):
         with pytest.raises(InvalidInputError):
-            validity_report(driven_params(sphere_diameter=None), TWO_PI * 6.4e-9)
+            report_of(driven_params(sphere_diameter=None), TWO_PI * 6.4e-9)
 
     @pytest.mark.parametrize(
         ("kerr", "sphere"), [(-1.0, DIAMETER), (TWO_PI * 6.4e-9, None)],
@@ -504,8 +510,10 @@ class TestValidityReport:
     )
     def test_inputs_checked_before_the_point_is_solved(self, kerr, sphere):
         # At parametric resonance (g_a = 0, upsilon^2 = kappa_m^2 + delta_m^2)
-        # solving the point raises; a bad input must be reported first.
+        # the report raises the point's resonance code; a bad input must be
+        # reported first.
         critical = float(np.hypot(TWO_PI * 0.6e6, TWO_PI * 10e6))
         p = driven_params(g_a=0.0, upsilon=critical, rabi=1e14, sphere_diameter=sphere)
+        assert evaluate([p]).code[0] == RESONANCE
         with pytest.raises(InvalidInputError):
-            validity_report(p, kerr)
+            report_of(p, kerr)
