@@ -28,7 +28,7 @@ from .errors import (
     ConfigError,
     InvalidInputError,
     NoMeasuresError,
-    verdict_error,
+    raise_first,
 )
 from .gaussian import CovarianceMatrix, Partition, log_negativity, three_mode_measures
 from .model import (
@@ -227,8 +227,7 @@ def steady_state(params: SystemParams) -> CovarianceMatrix:
     accurate, and the state physical and well-conditioned.
     """
     evaluation = evaluate([params])
-    if evaluation.code[0]:
-        raise verdict_error(evaluation.code[0], evaluation.value[0])
+    raise_first(evaluation.code, evaluation.value)
     return CovarianceMatrix(evaluation.covariances[0])
 
 
@@ -241,8 +240,11 @@ def bipartite_entanglement(v: CovarianceMatrix, pair: ModePair) -> float:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # the ratio not taken may divide by zero
-def _contrast(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
-    """Bidirectional contrast |f - b| / (f + b) elementwise, 0 where f + b is below the floor."""
+def _contrast(steady: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    """Bidirectional contrast |f - b| / (f + b) of the two phases along axis -2 of
+    ``measures``, 0 where f + b is below the floor.  A phase that is not ``steady``
+    carries no steady entanglement, so its measures enter as 0."""
+    forward, backward = np.moveaxis(np.where(steady[..., None], measures, 0.0), -2, 0)
     total = forward + backward
     return np.where(total < _CONTRAST_FLOOR, 0.0, np.abs(forward - backward) / total)
 
@@ -253,7 +255,7 @@ def contrast_ratio(forward: float, backward: float) -> float:
         raise InvalidInputError(
             f"contrast inputs must be non-negative, got ({forward}, {backward})"
         )
-    return float(_contrast(np.float64(forward), np.float64(backward)))
+    return float(_contrast(np.ones(2, dtype=bool), np.array([[forward], [backward]]))[0])
 
 
 def directional_measures(params: SystemParams, pairing: PhasePairing) -> ContrastRecord:
@@ -264,9 +266,7 @@ def directional_measures(params: SystemParams, pairing: PhasePairing) -> Contras
     """
     thetas = (pairing.theta_forward, pairing.theta_backward)
     evaluation = evaluate([replace(params, theta=theta) for theta in thetas])
-    for code, value in zip(evaluation.code, evaluation.value):
-        if code not in (OK, UNSTABLE):
-            raise verdict_error(code, value)
+    raise_first(evaluation.code, evaluation.value, passing=(OK, UNSTABLE))
     steady = evaluation.code == OK
     if not steady.any():
         raise NoMeasuresError("neither phase setting of the pairing admits a steady state")
@@ -274,9 +274,7 @@ def directional_measures(params: SystemParams, pairing: PhasePairing) -> Contras
         DirectionalPoint(theta, stable, *_nullable(measures))
         for theta, stable, measures in zip(thetas, steady.tolist(), evaluation.measures)
     )
-    # A phase with no steady state carries no steady entanglement.
-    filled = np.where(steady[:, None], evaluation.measures, 0.0)
-    return ContrastRecord(*_contrast(filled[0], filled[1]).tolist(), forward, backward)
+    return ContrastRecord(*_contrast(steady, evaluation.measures).tolist(), forward, backward)
 
 
 def _validate_axes(
@@ -350,11 +348,8 @@ def sweep(
     forward = np.where(steady[:, :1], measures[:, 0], np.nan)
     if pairing is None:
         return SweepResult(axes=grid_axes, stable=steady[:, 0], failed=failed, measures=forward)
-    # A phase with no steady state carries no steady entanglement; a point
-    # with none at either phase, or that failed, has no contrasts.
-    filled = np.where(steady[..., None], measures, 0.0)
-    contrasts = np.where(steady.any(axis=1, keepdims=True),
-                         _contrast(filled[:, 0], filled[:, 1]), np.nan)
+    # A point with no steady state at either phase, or that failed, has no contrasts.
+    contrasts = np.where(steady.any(axis=1, keepdims=True), _contrast(steady, measures), np.nan)
     return SweepResult(grid_axes, steady[:, 0], failed, forward, steady[:, 1], contrasts)
 
 

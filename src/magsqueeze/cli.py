@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import CONTRASTS, Evaluation, evaluate, sweep, temperature_thresholds
+from .analysis import CONTRASTS, MEASURES, Evaluation, evaluate, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
     UNSTABLE,
@@ -24,7 +24,7 @@ from .errors import (
     NoSteadyStateError,
     NumericalError,
     ParametricResonanceError,
-    verdict_error,
+    raise_first,
 )
 from .gaussian import CovarianceMatrix, wigner_single_mode
 from .model import ValidityReport, rabi_frequency, total_spins, validity_report
@@ -97,15 +97,11 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
         raise NoSteadyStateError(
             f"no steady state: max drift eigenvalue real part = {_fmt(max_real)} rad/s"
         )
-    if code:
-        raise verdict_error(code, evaluation.value[0])
-    e_am, e_ab, e_mb, r_min = (float(x) for x in evaluation.measures[0])
+    raise_first(evaluation.code, evaluation.value)
 
     print(f"stability: stable (max Re eigenvalue = {_fmt(max_real)} rad/s)")
-    print(f"E_am = {_fmt(e_am)}")
-    print(f"E_ab = {_fmt(e_ab)}")
-    print(f"E_mb = {_fmt(e_mb)}")
-    print(f"R_min = {_fmt(r_min)}")
+    for name, value in zip(MEASURES, evaluation.measures[0].tolist()):
+        print(f"{name} = {_fmt(value)}")
     _print_validity(config, evaluation)
 
     if config.dump_covariance:
@@ -169,9 +165,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     spec = config.wigner
     # Every phase is solved before any file is written, so a failing phase leaves none.
     evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
-    for code, value in zip(evaluation.code, evaluation.value):
-        if code:
-            raise verdict_error(code, value)
+    raise_first(evaluation.code, evaluation.value)
     for theta, covariance in zip(spec.phases, evaluation.covariances):
         block = CovarianceMatrix(covariance).mode_block(1, 1)
         extent = spec.extent_sigmas * float(np.sqrt(np.linalg.eigvalsh(block)[-1]))

@@ -7,6 +7,7 @@ should raise the most specific type that applies.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 
 class MagsqueezeError(Exception):
@@ -80,3 +81,12 @@ def verdict_error(code: int, value: float = math.nan) -> MagsqueezeError:
     """The exception of a nonzero verdict ``code`` whose stage reported ``value``."""
     _, cls, template = VERDICTS[code]
     return cls(template.format(value))
+
+
+def raise_first(
+    codes: Sequence[int], values: Sequence[float] = (), passing: tuple[int, ...] = (OK,)
+) -> None:
+    """Raise the verdict error of the first of ``codes`` not in ``passing``, with its value."""
+    for k, code in enumerate(codes):
+        if code not in passing:
+            raise verdict_error(code, values[k] if len(values) else math.nan)

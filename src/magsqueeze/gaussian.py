@@ -27,6 +27,7 @@ from .errors import (
     UNPHYSICAL,
     InvalidInputError,
     InvalidStateError,
+    raise_first,
     verdict_error,
 )
 
@@ -80,8 +81,8 @@ class CovarianceMatrix:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("covariance matrix contains non-finite entries")
-        scale = max(1.0, float(np.linalg.norm(arr)))
-        if float(np.linalg.norm(arr - arr.T)) > _SYMMETRY_RTOL * scale:
+        unit, scale = _unit_scaled(arr)
+        if np.linalg.norm(unit - unit.T) > _SYMMETRY_RTOL * max(1.0 / scale, np.linalg.norm(unit)):
             raise InvalidInputError(
                 "covariance matrix is not symmetric to within relative tolerance 1e-12"
             )
@@ -105,6 +106,13 @@ class CovarianceMatrix:
                 raise InvalidInputError(f"mode index {m} out of range")
             idx.extend((2 * m, 2 * m + 1))
         return CovarianceMatrix(self.data[np.ix_(idx, idx)])
+
+
+def _unit_scaled(arr: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
+    """``arr`` over the power of two ``scale`` <= max|arr|, and ``scale``; exact, and no square
+    of an entry of the quotient overflows."""
+    scale = float(np.ldexp(1.0, np.frexp(np.abs(arr).max())[1] - 1))
+    return arr / scale, scale
 
 
 @dataclass(frozen=True)
@@ -234,9 +242,7 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         raise InvalidInputError("partition must cover 2 or 3 modes in total")
     if min(len(partition.party_a), len(partition.party_b)) != 1:
         raise InvalidInputError("partition must be 1|1 or 1|2")
-    code, value = _exact_verdicts(v.data[None])
-    if code[0]:
-        raise verdict_error(code[0], value[0])
+    raise_first(*_exact_verdicts(v.data[None]))
 
     sub = v.restricted(modes)
     local_a = [modes.index(m) for m in partition.party_a]
@@ -299,19 +305,22 @@ def wigner_single_mode(
     m = np.asarray(v_sub, dtype=np.float64)
     if m.shape != (2, 2):
         raise InvalidInputError(f"expected a 2x2 covariance block, got shape {m.shape}")
-    if not np.all(np.isfinite(m)) or abs(m[0, 1] - m[1, 0]) > _SYMMETRY_RTOL * max(
-        1.0, float(np.linalg.norm(m))
+    unit, scale = _unit_scaled(m)
+    if not np.all(np.isfinite(m)) or abs(unit[0, 1] - unit[1, 0]) > _SYMMETRY_RTOL * max(
+        1.0 / scale, np.linalg.norm(unit)
     ):
         raise InvalidInputError("covariance block must be finite and symmetric")
-    det = float(np.linalg.det(m))
+    det = float(np.linalg.det(unit))  # det(m) / scale^2
     if det <= 0.0 or m[0, 0] <= 0.0:
-        raise InvalidStateError(f"covariance block is singular or indefinite (det={det:.3e})")
+        raise InvalidStateError(
+            f"covariance block is singular or indefinite (det={det * scale * scale:.3e})"
+        )
     pts = np.asarray(grid, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidInputError(f"grid must have shape (N, 2), got {pts.shape}")
     inv = np.linalg.inv(m)
     quad = np.einsum("ni,ij,nj->n", pts, inv, pts)
-    return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
+    return np.exp(-0.5 * quad) / (2.0 * np.pi * (np.sqrt(det) * scale))
 
 
 def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:

@@ -26,6 +26,7 @@ from .errors import (
     RESONANCE,
     UNSTABLE,
     InvalidInputError,
+    raise_first,
     verdict_error,
 )
 
@@ -129,6 +130,8 @@ class SystemParams:
             raise InvalidInputError("sphere_diameter must be positive")
         if self.sphere_diameter is not None and math.isinf(total_spins(self.sphere_diameter)):
             raise InvalidInputError("sphere_diameter must give a finite spin count")
+        if self.sphere_diameter is not None and total_spins(self.sphere_diameter) == 0.0:
+            raise InvalidInputError("sphere_diameter must give a nonzero spin count")
 
     @property
     def has_drive(self) -> bool:
@@ -154,7 +157,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein mean occupation of a mode at angular frequency ``omega``.
 
     Returns 0 exactly at zero temperature.  Underflows to 0 for
-    ``hbar*omega/(k_B T) > 700`` instead of raising.
+    ``hbar*omega/(k_B T) > 700`` and overflows to inf where that ratio
+    underflows to 0, instead of raising.
     """
     if omega <= 0.0:
         raise InvalidInputError(f"omega must be positive, got {omega}")
@@ -166,7 +170,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = _HBAR * omega / kt
     if x > 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x else math.inf
 
 
 @np.errstate(over="ignore")
@@ -232,28 +236,29 @@ def _magnon_block(c: Columns, delta_bar: NDArray) -> list[list[NDArray]]:
             [-(delta_bar - split_delta), -(c["kappa_m"] - split_kappa)]]
 
 
-def _steady_amplitude(
-    c: Columns, idx: NDArray[np.intp], delta_m_bar: NDArray[np.float64]
-) -> tuple[NDArray[np.complex128], NDArray[np.bool_]]:
-    """Steady magnon amplitudes of the points ``idx`` of the columns ``c``, and
-    where each is within the pole tolerance.
-
-    The mean-field equations are the drift's cavity-magnon block G with the
-    drive f = (0, 0, sqrt(2) rabi, 0): G x = -f.  Eliminating the cavity
-    leaves M (x_m, p_m) = -(sqrt(2) rabi, 0), with the magnon block D and
-    M = D - g_a^2 (kappa_a I + delta_a J) / (kappa_a^2 + delta_a^2),
-    J = [[0, 1], [-1, 0]]; then m_s = (x_m + i p_m) / sqrt(2).  The pole
-    tolerance bounds |det M| by 1e-6 of half its squared Frobenius norm.
-    """
+def _amplitude_system(c: Columns, idx: NDArray[np.intp]) -> NDArray[np.float64]:
+    """Rows m00, m11, upsilon*sin(theta), load*delta_a and rabi: the detuning-free parts of
+    the mean-field system of the points ``idx``.  The mean-field equations are the drift's
+    cavity-magnon block G with the drive f = (0, 0, sqrt(2) rabi, 0): G x = -f.  Eliminating
+    the cavity leaves M (x_m, p_m) = -(sqrt(2) rabi, 0), with J = [[0, 1], [-1, 0]], the magnon
+    block D, M = D - load (kappa_a I + delta_a J) and load = g_a^2 / (kappa_a^2 + delta_a^2)."""
     c = {name: c[name][idx] for name in
          ("kappa_a", "delta_a", "g_a", "kappa_m", "upsilon", "theta", "rabi")}
-    (m00, m01), (m10, m11) = _magnon_block(c, delta_m_bar)
+    # -0.0 + x is x exactly, so the block at detuning -0.0 holds upsilon*sin(theta).
+    (m00, split_delta), (_, m11) = _magnon_block(c, -0.0)
     load = c["g_a"] ** 2 / (c["kappa_a"] ** 2 + c["delta_a"] ** 2)
-    m00, m11 = m00 - load * c["kappa_a"], m11 - load * c["kappa_a"]
-    m01, m10 = m01 - load * c["delta_a"], m10 + load * c["delta_a"]
+    return np.array([m00 - load * c["kappa_a"], m11 - load * c["kappa_a"],
+                     split_delta, load * c["delta_a"], c["rabi"]])
+
+
+def _amplitude(system: NDArray, delta_m_bar: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
+    """Steady amplitudes m_s = (x_m + i p_m) / sqrt(2) of an ``_amplitude_system`` at the
+    detunings ``delta_m_bar``, and where a finite |det M| <= 1e-6 |M|_F^2 / 2 (the pole)."""
+    m00, m11, split_delta, load_delta, rabi = system
+    m01, m10 = delta_m_bar + split_delta - load_delta, -(delta_m_bar - split_delta) + load_delta
     det = m00 * m11 - m01 * m10
     pole = np.abs(det) <= _DENOMINATOR_RTOL * (m00**2 + m01**2 + m10**2 + m11**2) / 2
-    return c["rabi"] * (-m11 + 1j * m10) / det, pole
+    return rabi * (-m11 + 1j * m10) / det, pole & np.isfinite(det)  # an overflowing det is no pole
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # the step not taken may divide by zero
@@ -300,23 +305,23 @@ def _brentq(
 
 
 def _self_consistent_shift(
-    c: Columns, idx: NDArray, delta_bar: NDArray, m_s: NDArray, code: NDArray
+    c: Columns, idx: NDArray, system: NDArray, delta_bar: NDArray, m_s: NDArray, code: NDArray
 ) -> None:
     """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
 
-    Writes the solutions into ``delta_bar`` (bare detunings on entry) and
-    ``m_s``, and the verdict codes of the points without one into ``code``.
+    ``system`` is their ``_amplitude_system``.  Writes the solutions into ``delta_bar`` (bare
+    detunings on entry) and ``m_s``, and the verdict codes of the points without one into ``code``.
     """
 
-    def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        m, pole = _steady_amplitude(c, sel, x)
+    def shifted(x: NDArray, sel: NDArray, system: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        m, pole = _amplitude(system, x)
         backaction = c["g_m"][sel] ** 2 * np.abs(m) ** 2 / c["omega_b"][sel]
         return c["delta_m"][sel] - backaction, m, pole
 
-    def residual(x: NDArray, sel: NDArray) -> NDArray:
+    def residual(x: NDArray, sel: NDArray, system: NDArray) -> NDArray:
         # det M is real, so |m_s|^2 -> +inf on both sides of the pole: a
         # trial there counts as a positive residual.
-        updated, _, pole = shifted(x, sel)
+        updated, _, pole = shifted(x, sel, system)
         return np.where(pole, np.inf, x - updated)
 
     # Delta_m_bar = Delta_m + g_m * q_s depends on m_s, which depends back
@@ -325,39 +330,39 @@ def _self_consistent_shift(
     # and that point goes on to the bracket search below.
     on_pole = []
     for _ in range(_SHIFT_MAX_ITER):
-        updated, m_s[idx], pole = shifted(delta_bar[idx], idx)
+        updated, m_s[idx], pole = shifted(delta_bar[idx], idx, system)
         on_pole.append(idx[pole])
         done = np.abs(updated - delta_bar[idx]) <= _SHIFT_RTOL * np.maximum(1.0, np.abs(updated))
         delta_bar[idx] = updated
-        idx = idx[~(pole | done)]
+        idx, system = idx[~(pole | done)], system[:, ~(pole | done)]
         if idx.size == 0:
             break
     code[on_pole[0]] = RESONANCE
     idx = np.concatenate([idx, *on_pole[1:]])
+    system = _amplitude_system(c, idx)
 
     # Plain iteration cycles once the backaction shift exceeds the magnon
     # linewidth. The residual is positive at the bare detuning and negative
     # far below it, so bracket downward and return Brent's root in that
     # bracket, one of possibly several coexisting branches.
     hi = c["delta_m"][idx]
-    f_hi = residual(hi, idx)
+    f_hi = residual(hi, idx, system)
     step = np.maximum(np.abs(f_hi), c["kappa_m"][idx])
-    lo = hi - step
-    f_lo = residual(lo, idx)
-    for _ in range(_SHIFT_MAX_ITER - 1):
+    for _ in range(_SHIFT_MAX_ITER):
+        lo = hi - step
+        f_lo = residual(lo, idx, system)
         if np.all(f_lo < 0.0):
             break
         step = np.where(f_lo < 0.0, step, 2.0 * step)
-        lo = hi - step
-        f_lo = residual(lo, idx)
     found = f_lo < 0.0
     code[idx[~found]] = NO_FIXED_POINT
-    idx, lo, hi, f_lo, f_hi = idx[found], lo[found], hi[found], f_lo[found], f_hi[found]
+    idx, system, lo, hi, f_lo, f_hi = (a[..., found] for a in (idx, system, lo, hi, f_lo, f_hi))
     xtol = 1e-12 * np.maximum(1.0, np.abs(hi))
-    root = _brentq(lambda x: residual(x, idx), lo, hi, f_lo, f_hi, xtol)
-    code[idx[np.isnan(root)]] = NO_FIXED_POINT
-    idx, root = idx[~np.isnan(root)], root[~np.isnan(root)]
-    delta_bar[idx], m_s[idx], pole = shifted(root, idx)
+    root = _brentq(lambda x: residual(x, idx, system), lo, hi, f_lo, f_hi, xtol)
+    found = ~np.isnan(root)
+    code[idx[~found]] = NO_FIXED_POINT
+    idx, system, root = idx[found], system[:, found], root[found]
+    delta_bar[idx], m_s[idx], pole = shifted(root, idx, system)
     code[idx[pole]] = RESONANCE
 
 
@@ -366,7 +371,8 @@ class DerivedColumns(NamedTuple):
 
     ``delta_m_bar`` is the effective magnon detuning and ``m_s`` the steady
     magnon amplitude, NaN without a drive.  ``code`` is 0 where a point
-    derived, otherwise its verdict code: resonance or no_fixed_point.
+    derived, otherwise its verdict code: resonance, no_fixed_point, or
+    non_finite where the amplitude's mean-field system overflows.
     """
 
     delta_m_bar: NDArray[np.float64]
@@ -383,17 +389,21 @@ def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
     the verdict code of the ``ParametricResonanceError`` ``build_drift`` raises for it.
     """
     c = points if isinstance(points, dict) else gather(points)
-    driven = ~np.isnan(c["rabi"])
-    shift = driven & ~np.isnan(c["omega_0"]) & np.isnan(c["G_m"])
+    driven = np.flatnonzero(~np.isnan(c["rabi"]))
     delta_bar = c["delta_m"].copy()
-    m_s = np.full(driven.size, np.nan, dtype=complex)
-    code = np.zeros(driven.size, dtype=np.int8)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    m_s = np.full(delta_bar.size, np.nan, dtype=complex)
+    code = np.zeros(delta_bar.size, dtype=np.int8)
+    # A point whose amplitude system overflows gets the non_finite verdict.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        system = _amplitude_system(c, driven)
+        finite = np.isfinite(system).all(axis=0)
+        code[driven[~finite]] = NON_FINITE
         # Direct detunings, or a direct G_m, leave the detuning unshifted.
-        direct = np.flatnonzero(driven & ~shift)
-        m_s[direct], pole = _steady_amplitude(c, direct, delta_bar[direct])
+        shift = finite & np.isnan(c["G_m"][driven]) & ~np.isnan(c["omega_0"][driven])
+        direct = driven[finite & ~shift]
+        m_s[direct], pole = _amplitude(system[:, finite & ~shift], delta_bar[direct])
         code[direct[pole]] = RESONANCE
-        _self_consistent_shift(c, np.flatnonzero(shift), delta_bar, m_s, code)
+        _self_consistent_shift(c, driven[shift], system[:, shift], delta_bar, m_s, code)
     return DerivedColumns(delta_bar, m_s, code)
 
 
@@ -438,8 +448,7 @@ def build_drift(params: SystemParams) -> NDArray[np.float64]:
     """Drift matrix of one operating point (see ``drift_stack``); raises its resonance verdict."""
     columns = gather([params])
     derived = derive_many(columns)
-    if derived.code[0]:
-        raise verdict_error(derived.code[0])
+    raise_first(derived.code)
     return drift_stack(columns, derived)[0]
 
 

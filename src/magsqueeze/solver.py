@@ -25,7 +25,7 @@ from .errors import (
     UNSTABLE,
     InvalidInputError,
     NumericalError,
-    verdict_error,
+    raise_first,
 )
 from .gaussian import CovarianceMatrix
 
@@ -156,8 +156,7 @@ def solve_lyapunov(
             f"shape mismatch: gamma {arr_g.shape} vs diffusion {arr_l.shape}"
         )
     _, covariances, code, value = steady_stack(arr_g[None], arr_l[None])
-    if code[0]:
-        raise verdict_error(code[0], value[0])
+    raise_first(code, value)
     return CovarianceMatrix(covariances[0])
 
 

@@ -473,6 +473,34 @@ class TestOneSolvePerCommand:
             assert captured.out.endswith("overall: PASS\n")
 
 
+class TestOverflowVerdicts:
+    """Inputs whose derived quantities leave the float range get a verdict and its exit code,
+    with no numpy warning."""
+
+    NON_FINITE = "error: gamma and diffusion must have finite entries\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides", [
+        ["g_a_over_2pi_hz=1e200"],  # g_a^2 overflows in the amplitude's mean-field system
+        ["omega_b_over_2pi_hz=1e-300", "temperature_value=1e10"],  # n_b overflows
+    ])
+    def test_steady_reports_non_finite(self, tmp_path, capsys, overrides):
+        argv = ["steady", "--config", str(REPO_CONFIGS / "default.yaml"), "--output", str(tmp_path)]
+        code = cli.main(argv + [arg for item in overrides for arg in ("--set", item)])
+        assert (code, capsys.readouterr()) == (2, ("", self.NON_FINITE))
+
+    @pytest.mark.filterwarnings("error")
+    def test_wigner_of_a_hot_bath(self, tmp_path, capsys):
+        # Squares of the covariance entries and the det of the magnon block overflow.
+        code = cli.main(["wigner", "--config", str(REPO_CONFIGS / "wigner.yaml"), "--output",
+                         str(tmp_path), "--set", "temperature_value=1e300"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        for path in sorted(tmp_path.glob("wigner_theta_*.csv")):
+            table = read_csv(path)
+            assert np.isfinite(table.columns["W"]).all() and max(table.columns["W"]) > 0.0
+            assert float(dict(table.metadata)["normalization_integral"]) == pytest.approx(1.0, abs=1e-6)
+
+
 class TestThreads:
     @pytest.mark.parametrize(
         "command, config",

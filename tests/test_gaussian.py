@@ -113,6 +113,16 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidInputError):
             CovarianceMatrix(v)
 
+    @pytest.mark.filterwarnings("error")
+    def test_symmetry_check_near_the_float_range(self):
+        # Squares of the entries overflow; the norms are taken on the matrix scaled
+        # by a power of two, so the relative tolerance still holds.
+        v = 1e300 * two_mode_squeezed(0.3).data
+        assert CovarianceMatrix(v).data is not None
+        v[0, 2] *= 1.0 + 1e-6
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            CovarianceMatrix(v)
+
     def test_mode_block_and_restriction(self):
         state = two_mode_squeezed(0.3)
         block = state.mode_block(0, 1)
@@ -327,6 +337,20 @@ class TestWigner:
     def test_rejects_bad_grid_shape(self):
         with pytest.raises(InvalidInputError):
             wigner_single_mode(0.5 * np.eye(2), np.zeros((4, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_block_near_the_float_range(self, scale):
+        # det of the block overflows or underflows, and at 1e300 the squares of its
+        # entries; taken on the block scaled by a power of two, W(u) keeps its
+        # scaling W_{sV}(sqrt(s) u) = W_V(u) / s.
+        block = np.array([[0.7, 0.2], [0.2, 0.5]])
+        _, pts = self.grid(3.0, 7)
+        w = wigner_single_mode(scale * block, np.sqrt(scale) * pts)
+        np.testing.assert_allclose(w * scale, wigner_single_mode(block, pts), rtol=1e-12)
+        if scale > 1.0:
+            with pytest.raises(InvalidInputError, match="symmetric"):
+                wigner_single_mode(scale * np.array([[0.7, 0.2], [0.3, 0.5]]), pts)
 
     def test_rejects_asymmetric_block(self):
         block = np.array([[0.5, 0.1], [0.2, 0.5]])

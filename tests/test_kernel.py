@@ -3,21 +3,25 @@ and per-point failure isolation in sweeps."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magsqueeze import (
+    InvalidInputError,
     MagsqueezeError,
     ModePair,
     NoSteadyStateError,
     NumericalError,
     ParametricResonanceError,
     PhasePairing,
+    SystemParams,
     bipartite_entanglement,
     build_diffusion,
     build_drift,
@@ -32,10 +36,13 @@ from magsqueeze import (
     symplectic_form,
 )
 from magsqueeze.analysis import CONTRASTS, _CHUNK
-from magsqueeze.errors import VERDICTS
+from magsqueeze.config import load_config
+from magsqueeze.errors import OK, VERDICTS, verdict_error
 from magsqueeze.tableio import read_csv, sweep_table
 
 from conftest import KAPPA_A, TWO_PI, make_params, verdict
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Relative agreement with the scalar path; the absolute floor covers
 # measures at zero and the cancellation in the residual tangle.
@@ -242,3 +249,77 @@ class TestFailureIsolation:
             metadata[name] = dict(read_csv(out / "sweep.csv").metadata)
         assert "failed_points" not in metadata["clean"]
         assert metadata["failing"]["failed_points"] == "1"
+
+
+def log_uniform(low: float, high: float) -> st.SearchStrategy[float]:
+    """Floats 10**e with the exponent e drawn from [low, high]."""
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+# Rates drawn log-uniformly over 1e3..1e12 rad/s; one field of a point in
+# sixteen is scaled by 1e250 or 1e-250 towards the ends of the float range.
+rate = log_uniform(3.0, 12.0)
+SCALED_FIELDS = ("omega_a", "omega_b", "kappa_a", "kappa_m", "g_a", "upsilon", "temperature",
+                 "delta_m", "omega_0", "G_m", "g_m", "rabi", "h_d", "sphere_diameter")
+
+
+@st.composite
+def drawn_point(draw) -> SystemParams | None:
+    """An operating point of either detuning form and coupling, None if it does not construct."""
+    fields = {name: draw(rate) for name in ("omega_a", "omega_m", "omega_b", "kappa_a",
+                                            "kappa_m", "gamma_b", "g_a", "upsilon")}
+    fields.update(theta=draw(st.floats(0.0, TWO_PI)),
+                  temperature=draw(log_uniform(-3.0, 3.0)))
+    if draw(st.booleans()):
+        fields.update(delta_a=draw(st.sampled_from((-1, 1))) * draw(rate),
+                      delta_m=draw(st.sampled_from((-1, 1))) * draw(rate))
+    else:
+        fields.update(omega_0=draw(rate))
+    coupling = draw(st.sampled_from(("direct", "direct_driven", "rabi", "field")))
+    if coupling.startswith("direct"):
+        fields.update(G_m=draw(rate))
+    else:
+        fields.update(g_m=draw(log_uniform(-1.0, 4.0)))
+    if coupling in ("direct_driven", "rabi"):
+        fields.update(rabi=draw(log_uniform(3.0, 16.0)))
+    if coupling == "field":
+        fields.update(h_d=draw(log_uniform(-9.0, -3.0)), sphere_diameter=draw(log_uniform(-6.0, -2.0)))
+    if draw(st.integers(0, 15)) == 0:
+        name = draw(st.sampled_from(SCALED_FIELDS))
+        if fields.get(name) is not None:
+            fields[name] *= draw(st.sampled_from((1e250, 1e-250)))
+    try:
+        return SystemParams(**fields)
+    except InvalidInputError:
+        return None
+
+
+def command_point(config: str, *overrides: str) -> SystemParams:
+    """The operating point of ``magsqueeze <command> --config <config> --set <override> ...``."""
+    return load_config(REPO_CONFIGS / config, overrides).params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(drawn_point(), min_size=1, max_size=6))
+@example([command_point("default.yaml", "g_a_over_2pi_hz=1e200")])
+@example([command_point("default.yaml", "omega_b_over_2pi_hz=1e-300", "temperature_value=1e10")])
+@example([command_point("wigner.yaml", "temperature_value=1e300")])
+def test_every_finite_point_gets_a_verdict(drawn):
+    # No exception and no numpy warning escapes; a point's outcome does not
+    # depend on its batch, and the scalar path raises the verdict's class.
+    points = [p for p in drawn if p is not None]
+    assume(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = evaluate(points)
+        assert set(batch.code.tolist()) <= set(range(len(VERDICTS)))
+        for k, params in enumerate(points):
+            alone = evaluate([params])
+            for name in batch._fields:
+                assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[k].tobytes(), name
+            try:
+                steady_state(params)
+            except MagsqueezeError as exc:
+                assert type(exc) is type(verdict_error(alone.code[0]))
+            else:
+                assert alone.code[0] == OK

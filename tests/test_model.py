@@ -21,7 +21,7 @@ from magsqueeze import (
     total_spins,
     validity_report,
 )
-from magsqueeze.errors import RESONANCE
+from magsqueeze.errors import NON_FINITE, OK, RESONANCE
 from magsqueeze.model import derive_many
 
 from conftest import BASE_PARAMS, KAPPA_A, TWO_PI, make_params
@@ -62,6 +62,10 @@ class TestThermalOccupation:
     def test_subnormal_temperature_returns_zero(self):
         # k_B T underflows to zero; the ratio must not divide by it.
         assert thermal_occupation(TWO_PI * 10e6, 2.225073858507203e-309) == 0.0
+
+    def test_ratio_underflow_returns_inf(self):
+        # hbar omega / (k_B T) underflows to zero: the occupation exceeds the float range.
+        assert thermal_occupation(TWO_PI * 1e-300, 1e10) == np.inf
 
     def test_classical_limit(self):
         import scipy.constants as sc
@@ -149,6 +153,11 @@ class TestSystemParams:
         assert total_spins(1e120) == np.inf
         with pytest.raises(InvalidInputError, match="^sphere_diameter must give a finite spin count$"):
             make_params(h_d=2.87e-5, sphere_diameter=1e120)
+
+    def test_rejects_a_sphere_whose_spin_count_underflows(self):
+        assert total_spins(1e-252) == 0.0
+        with pytest.raises(InvalidInputError, match="^sphere_diameter must give a nonzero spin count$"):
+            make_params(h_d=2.87e-5, sphere_diameter=1e-252)
 
     def test_rejects_zero_dissipation(self):
         with pytest.raises(InvalidInputError):
@@ -271,6 +280,15 @@ class TestSteadyAmplitude:
         assert derive_many([p]).code[0] == RESONANCE
         with pytest.raises(ParametricResonanceError):
             build_drift(p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_non_finite_not_resonance(self):
+        # g_a^2 overflows in the mean-field system itself: the non_finite verdict.
+        assert derive_many([driven_params(g_a=TWO_PI * 1e200)]).code[0] == NON_FINITE
+        # Only det M overflows at this detuning, which is far from the pole:
+        # the amplitude is the limit 0.
+        derived = derive_many([driven_params(delta_m=TWO_PI * 1e200)])
+        assert (derived.code[0], derived.m_s[0]) == (OK, 0.0)
 
     def test_phonon_shift_lowers_amplitude_backaction(self):
         p = driven_params()

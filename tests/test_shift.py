@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from magsqueeze import ParametricResonanceError, SystemParams, cli
+from magsqueeze import ParametricResonanceError, SystemParams, cli, model
 from magsqueeze.analysis import _CHUNK
 from magsqueeze.model import _brentq, derive_many
 
@@ -172,6 +172,22 @@ def test_one_batch_equals_the_chunked_batches():
         chunked = np.concatenate([getattr(chunk, field) for chunk in chunks])
         assert chunked.shape == (len(points),)
         np.testing.assert_array_equal(getattr(whole, field), chunked)
+
+
+def test_amplitude_system_is_built_once_per_phase(monkeypatch):
+    # The detuning-free part of the mean-field system is gathered once for the
+    # fixed-point iteration and once for the bracket search, not once per trial.
+    calls = []
+
+    def counted(c, delta_bar):
+        calls.append(np.size(delta_bar))
+        return block(c, delta_bar)
+
+    block = model._magnon_block
+    monkeypatch.setattr(model, "_magnon_block", counted)
+    derived = derive_many(model.gather(contrast_driven_points()))
+    assert len(calls) <= 2
+    assert (derived.code == 0).all()
 
 
 def test_single_point_derive_is_the_batch_of_one():
