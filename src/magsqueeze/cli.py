@@ -66,16 +66,9 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _print_validity(config: RunConfig, evaluation: Evaluation) -> ValidityReport | None:
-    """Print the validity report of ``evaluation``'s point; return it, or None if unavailable."""
-    if config.kerr is None:
-        print("validity: skipped (set validate.kerr_over_2pi_hz to enable)")
-        return None
-    try:
-        report = validity_report(config.params, config.kerr, evaluation.m_s[0], evaluation.code[0])
-    except InvalidInputError as exc:
-        print(f"validity: skipped ({exc})")
-        return None
+def _validity(config: RunConfig, evaluation: Evaluation) -> ValidityReport:
+    """The validity report of ``evaluation``'s point, after printing its lines."""
+    report = validity_report(config.params, config.kerr, evaluation.m_s[0], evaluation.code[0])
     print(f"validity: |m_s| = {_fmt(report.magnon_amplitude)}")
     print(
         f"validity: magnon occupation = {_fmt(report.magnon_occupation)}"
@@ -102,7 +95,13 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
     print(f"stability: stable (max Re eigenvalue = {_fmt(max_real)} rad/s)")
     for name, value in zip(MEASURES, evaluation.measures[0].tolist()):
         print(f"{name} = {_fmt(value)}")
-    _print_validity(config, evaluation)
+    if config.kerr is None:
+        print("validity: skipped (set validate.kerr_over_2pi_hz to enable)")
+    else:
+        try:
+            _validity(config, evaluation)
+        except InvalidInputError as exc:  # no drive or no sphere: the point is ok
+            print(f"validity: skipped ({exc})")
 
     if config.dump_covariance:
         out = _writable_dir(out_dir)
@@ -187,11 +186,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
 def cmd_validate(config: RunConfig) -> int:
     if config.kerr is None:
         raise ConfigError("the validate command needs validate.kerr_over_2pi_hz in the config")
-    report = _print_validity(config, evaluate([config.params]))
-    if report is None:
-        raise ConfigError(
-            "validity checks need drive (rabi_rad_per_s or h_d_tesla) and sphere_diameter_m"
-        )
+    report = _validity(config, evaluate([config.params]))
     params = config.params
     if params.h_d is not None and params.sphere_diameter is not None:
         computed = rabi_frequency(params.h_d, total_spins(params.sphere_diameter))

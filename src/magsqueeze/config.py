@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -109,36 +109,54 @@ class RunConfig(NamedTuple):
     kerr: float | None
 
 
-def _require_mapping(obj: Any, where: str) -> dict[str, Any]:
+def _block(
+    obj: Any, where: str, allowed: Collection[str], required: Sequence[str] = (), unknown: str = ""
+) -> dict[str, Any]:
+    """``obj`` (None reads as empty) as a dict: a mapping with string keys, only ``allowed`` ones,
+    holding the ``required`` ones.  ``unknown`` heads the message for other keys, by default
+    "unknown keys in <where>" (and " section" after a section's name)."""
     if obj is None:
-        return {}
+        obj = {}
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {type(obj).__name__}")
     bad = [k for k in obj if not isinstance(k, str)]
     if bad:
         raise ConfigError(f"{where} has non-string keys: {bad}")
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        section = " section" if where in _SECTIONS else ""
+        raise ConfigError(f"{unknown or f'unknown keys in {where}{section}'}: {extra}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where} is missing required key {key!r}")
     return dict(obj)
 
 
-def _reject_unknown(block: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
-
-
-def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
+def _number(
+    value: Any, where: str, scale: float = 1.0, must: str = "",
+    test: Callable[[float], bool] | None = None,
+) -> float:
+    """``scale`` times ``value`` as a float, which must pass ``test`` if one is given;
+    the message then says what ``where`` ``must`` be."""
     # YAML 1.1 only treats exponent forms with a decimal point as floats;
     # accept the bare string form ("6e6") as a convenience.
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = scale * float(value)
         except ValueError:
             pass
+        else:
+            if test is None or test(number):
+                return number
+            raise ConfigError(f"{where} must be {must}")
     raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _integer(value: Any, where: str, least: int, must: str) -> int:
+    """``value``, which must be an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{where} must be {must}")
+    return value
 
 
 def _temperature_scale(unit: Any, where: str) -> float:
@@ -150,22 +168,19 @@ def _temperature_scale(unit: Any, where: str) -> float:
 
 
 def _parse_parameters(raw: dict[str, Any]) -> SystemParams:
-    unknown = sorted(set(raw) - set(PARAM_KEYS) - set(_TEMPERATURE_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown parameter keys: {unknown}")
     missing = [k for k in REQUIRED_PARAM_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing required parameter keys: {missing}")
 
     scale = _temperature_scale(raw["temperature_unit"], "temperature_unit")
     values: dict[str, Any] = {
-        "temperature": scale * _as_number(raw["temperature_value"], "temperature_value")
+        "temperature": _number(raw["temperature_value"], "temperature_value", scale)
     }
     for key, value in raw.items():
         if key in _TEMPERATURE_KEYS:
             continue
         field, to_si = PARAM_KEYS[key]
-        values[field] = to_si * _as_number(value, key)
+        values[field] = _number(value, key, to_si)
     try:
         return SystemParams(**values)
     except InvalidInputError as exc:
@@ -173,21 +188,17 @@ def _parse_parameters(raw: dict[str, Any]) -> SystemParams:
 
 
 def _parse_axis(raw: Any, index: int) -> AxisSpec:
-    axis = _require_mapping(raw, f"sweep.axes[{index}]")
-    _reject_unknown(axis, {"name", "start", "stop", "points", "unit"}, f"sweep.axes[{index}]")
-    for key in ("name", "start", "stop", "points"):
-        if key not in axis:
-            raise ConfigError(f"sweep.axes[{index}] is missing required key {key!r}")
+    where = f"sweep.axes[{index}]"
+    axis = _block(raw, where, ("name", "start", "stop", "points", "unit"),
+                  ("name", "start", "stop", "points"))
     name = axis["name"]
     if name not in _AXIS_COLUMNS:
         raise ConfigError(
             f"unknown sweep axis {name!r}; valid axes: {sorted(_AXIS_COLUMNS)}"
         )
-    points = axis["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ConfigError(f"sweep.axes[{index}].points must be a positive integer")
-    start = _as_number(axis["start"], f"sweep.axes[{index}].start")
-    stop = _as_number(axis["stop"], f"sweep.axes[{index}].stop")
+    points = _integer(axis["points"], f"{where}.points", 1, "a positive integer")
+    start = _number(axis["start"], f"{where}.start")
+    stop = _number(axis["stop"], f"{where}.stop")
 
     scale, column = _AXIS_COLUMNS[name]
     if "unit" in axis:
@@ -201,49 +212,37 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
     return AxisSpec(name=name, si_values=si, display_values=display, column_name=column)
 
 
-def _parse_sweep(raw: dict[str, Any]) -> SweepSpec:
-    _reject_unknown(raw, {"axes", "pairing"}, "sweep section")
-    if "axes" not in raw or not isinstance(raw["axes"], Sequence) or isinstance(raw["axes"], str):
+def _parse_sweep(raw: Any) -> SweepSpec:
+    raw = _block(raw, "sweep", ("axes", "pairing"))
+    if not isinstance(raw.get("axes"), Sequence) or isinstance(raw["axes"], str):
         raise ConfigError("sweep.axes must be a list of axis mappings")
     axes = tuple(_parse_axis(a, i) for i, a in enumerate(raw["axes"]))
 
     pairing: PhasePairing | None = None
-    if "pairing" in raw and raw["pairing"] is not None:
-        block = _require_mapping(raw["pairing"], "sweep.pairing")
-        _reject_unknown(block, {"theta_forward_rad", "theta_backward_rad"}, "sweep.pairing")
-        for key in ("theta_forward_rad", "theta_backward_rad"):
-            if key not in block:
-                raise ConfigError(f"sweep.pairing is missing required key {key!r}")
+    if raw.get("pairing") is not None:
+        keys = ("theta_forward_rad", "theta_backward_rad")
+        block = _block(raw["pairing"], "sweep.pairing", keys, keys)
         try:
-            pairing = PhasePairing(
-                theta_forward=_as_number(block["theta_forward_rad"], "theta_forward_rad"),
-                theta_backward=_as_number(block["theta_backward_rad"], "theta_backward_rad"),
-            )
+            pairing = PhasePairing(*(_number(block[key], key) for key in keys))
         except InvalidInputError as exc:
             raise ConfigError(f"invalid sweep.pairing: {exc}") from exc
     return SweepSpec(axes=axes, pairing=pairing)
 
 
-def _parse_wigner(raw: dict[str, Any]) -> WignerSpec:
-    _reject_unknown(raw, {"phases_rad", "points_per_axis", "extent_sigmas"}, "wigner section")
+def _parse_wigner(raw: Any) -> WignerSpec:
+    raw = _block(raw, "wigner", ("phases_rad", "points_per_axis", "extent_sigmas"))
     phases = _DEFAULT_WIGNER_PHASES
     if "phases_rad" in raw:
         if not isinstance(raw["phases_rad"], Sequence) or isinstance(raw["phases_rad"], str):
             raise ConfigError("wigner.phases_rad must be a list of phases in radians")
         if not raw["phases_rad"]:
             raise ConfigError("wigner.phases_rad must not be empty")
-        phases = tuple(
-            _as_number(v, f"wigner.phases_rad[{i}]") for i, v in enumerate(raw["phases_rad"])
-        )
-        for i, phase in enumerate(phases):
-            if not math.isfinite(phase):
-                raise ConfigError(f"wigner.phases_rad[{i}] must be finite")
-    points = raw.get("points_per_axis", 101)
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ConfigError("wigner.points_per_axis must be an integer >= 2")
-    sigmas = _as_number(raw.get("extent_sigmas", 6.0), "wigner.extent_sigmas")
-    if not (math.isfinite(sigmas) and sigmas > 0.0):
-        raise ConfigError("wigner.extent_sigmas must be positive and finite")
+        phases = tuple(_number(v, f"wigner.phases_rad[{i}]", 1.0, "finite", math.isfinite)
+                       for i, v in enumerate(raw["phases_rad"]))
+    points = _integer(raw.get("points_per_axis", 101), "wigner.points_per_axis", 2,
+                      "an integer >= 2")
+    sigmas = _number(raw.get("extent_sigmas", 6.0), "wigner.extent_sigmas", 1.0,
+                     "positive and finite", lambda x: 0.0 < x < math.inf)
     return WignerSpec(phases=phases, points_per_axis=points, extent_sigmas=sigmas)
 
 
@@ -280,36 +279,29 @@ def apply_overrides(raw: dict[str, Any], assignments: Sequence[str]) -> dict[str
 
 def build_run_config(raw: Any, overrides: Sequence[str] = ()) -> RunConfig:
     """Validate a raw config tree (plus overrides) into a RunConfig."""
-    tree = _require_mapping(raw, "config")
-    unknown = sorted(set(tree) - set(_SECTIONS))
-    if unknown:
-        raise ConfigError(f"unknown config sections: {unknown}")
+    tree = _block(raw, "config", _SECTIONS, unknown="unknown config sections")
     tree = apply_overrides(tree, overrides)
 
-    raw_params = _require_mapping(tree.get("parameters"), "parameters")
+    raw_params = _block(tree.get("parameters"), "parameters", (*PARAM_KEYS, *_TEMPERATURE_KEYS),
+                        unknown="unknown parameter keys")
     if not raw_params:
         raise ConfigError("config is missing the parameters section")
     params = _parse_parameters(raw_params)
 
     sweep_spec: SweepSpec | None = None
-    if "sweep" in tree and tree["sweep"] is not None:
-        sweep_spec = _parse_sweep(_require_mapping(tree["sweep"], "sweep"))
+    if tree.get("sweep") is not None:
+        sweep_spec = _parse_sweep(tree["sweep"])
+    wigner_spec = _parse_wigner(tree.get("wigner"))
 
-    wigner_spec = _parse_wigner(_require_mapping(tree.get("wigner"), "wigner"))
-
-    steady_block = _require_mapping(tree.get("steady"), "steady")
-    _reject_unknown(steady_block, {"dump_covariance"}, "steady section")
-    dump = steady_block.get("dump_covariance", False)
+    dump = _block(tree.get("steady"), "steady", ("dump_covariance",)).get("dump_covariance", False)
     if not isinstance(dump, bool):
         raise ConfigError("steady.dump_covariance must be a boolean")
 
-    validate_block = _require_mapping(tree.get("validate"), "validate")
-    _reject_unknown(validate_block, {"kerr_over_2pi_hz"}, "validate section")
+    validate_block = _block(tree.get("validate"), "validate", ("kerr_over_2pi_hz",))
     kerr: float | None = None
     if "kerr_over_2pi_hz" in validate_block:
-        kerr = TWO_PI * _as_number(validate_block["kerr_over_2pi_hz"], "kerr_over_2pi_hz")
-        if not (math.isfinite(kerr) and kerr >= 0.0):
-            raise ConfigError("kerr_over_2pi_hz must be non-negative and finite")
+        kerr = _number(validate_block["kerr_over_2pi_hz"], "kerr_over_2pi_hz", TWO_PI,
+                       "non-negative and finite", lambda x: 0.0 <= x < math.inf)
 
     return RunConfig(
         params=params,

@@ -9,6 +9,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+__all__ = [
+    "MagsqueezeError",
+    "InvalidInputError",
+    "InvalidStateError",
+    "ConfigError",
+    "NoSteadyStateError",
+    "ParametricResonanceError",
+    "NoMeasuresError",
+    "NumericalError",
+]
+
 
 class MagsqueezeError(Exception):
     """Base class for all package-specific errors."""

@@ -429,6 +429,7 @@ def drift_stack(c: Columns, derived: DerivedColumns) -> NDArray[np.float64]:
     return gamma
 
 
+@np.errstate(over="ignore")  # an overflowing entry gets the non_finite verdict downstream
 def diffusion_stack(c: Columns) -> NDArray[np.float64]:
     """Diagonal input-noise matrices, one
     diag[kappa_a(2n_a+1) x2, kappa_m(2n_m+1) x2, 0, gamma_b(2n_b+1)] per point."""
@@ -463,28 +464,29 @@ def validity_report(
     """Check the linearization of a point against excitation-number and Kerr bounds.
 
     ``m_s`` and ``code`` are its entries of ``analysis.evaluate``; a drive and
-    the sphere diameter are checked before a resonance code raises.  Verdicts
-    run in pipeline order: all but non_finite and unstable have a stable drift.
+    the sphere diameter are checked before a verdict raises.  The verdicts
+    before unstable in pipeline order (resonance, no_fixed_point, non_finite)
+    leave nothing to report on and raise; unstable reports ``stable`` False.
     """
     if kerr_coefficient < 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
     if not params.has_drive:
-        raise InvalidInputError(f"validity checks need the steady amplitude: {_DRIVE_RULE}")
+        raise InvalidInputError(f"validity checks need a drive: {_DRIVE_RULE}")
     if params.sphere_diameter is None:
         raise InvalidInputError("validity checks need sphere_diameter for the spin-count bound")
-    if code in (RESONANCE, NO_FIXED_POINT):
+    if code in (RESONANCE, NO_FIXED_POINT, NON_FINITE):
         raise verdict_error(code)
     rabi = _resolved(params).get("rabi", params.rabi)
 
+    # A NaN amplitude had an overflowing numerator: it reads inf, as do overflowing powers.
     amplitude = abs(complex(m_s))
-    # An amplitude whose powers overflow reads inf and fails the checks.
+    amplitude = math.inf if math.isnan(amplitude) else amplitude
     occupation = _power(amplitude, 2)
     bound = 2.0 * total_spins(params.sphere_diameter) * SPIN_S
     kerr_shift = kerr_coefficient * _power(amplitude, 3)
     # A zero drive gives m_s = 0 and so a zero Kerr shift.
     ratio = kerr_shift / rabi if rabi else 0.0
-    stable = code not in (NON_FINITE, UNSTABLE)
     return ValidityReport(
         amplitude, occupation, bound, kerr_coefficient, ratio, rabi,
-        low_excitation_ok=occupation < 0.01 * bound, kerr_ok=ratio < 0.5, stable=stable,
+        low_excitation_ok=occupation < 0.01 * bound, kerr_ok=ratio < 0.5, stable=code != UNSTABLE,
     )

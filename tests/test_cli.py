@@ -389,13 +389,15 @@ class TestValidate:
         assert "overall: FAIL" in out
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("rabi", ["1e120", "1e200"])
+    @pytest.mark.parametrize("rabi", ["1e120", "1e200", "1e305"])
     def test_overflowing_amplitude_fails(self, capsys, rabi):
-        # The cube of the amplitude overflows at 1e120, its square too at 1e200.
+        # The cube of the amplitude overflows at 1e120, its square too at 1e200;
+        # at 1e305 its numerator overflows and the amplitude reads inf.
         code = cli.main(["validate", "--config", str(REPO_CONFIGS / "validate.yaml"),
                          "--set", f"rabi_rad_per_s={rabi}"])
         captured = capsys.readouterr()
         assert (code, captured.err) == (1, "")
+        assert ("validity: |m_s| = inf\n" in captured.out) == (rabi == "1e305")
         assert "low-excitation FAIL)\n" in captured.out
         assert "validity: Kerr/drive ratio = inf (threshold 0.5, FAIL)\n" in captured.out
         assert captured.out.endswith("overall: FAIL\n")
@@ -483,10 +485,19 @@ class TestOverflowVerdicts:
     @pytest.mark.parametrize("overrides", [
         ["g_a_over_2pi_hz=1e200"],  # g_a^2 overflows in the amplitude's mean-field system
         ["omega_b_over_2pi_hz=1e-300", "temperature_value=1e10"],  # n_b overflows
+        ["temperature_value=1e306"],  # kappa (2 n + 1) overflows in the diffusion
     ])
     def test_steady_reports_non_finite(self, tmp_path, capsys, overrides):
         argv = ["steady", "--config", str(REPO_CONFIGS / "default.yaml"), "--output", str(tmp_path)]
         code = cli.main(argv + [arg for item in overrides for arg in ("--set", item)])
+        assert (code, capsys.readouterr()) == (2, ("", self.NON_FINITE))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override", ["g_a_over_2pi_hz=1e200", "temperature_value=1e308"])
+    def test_validate_reports_non_finite(self, capsys, override):
+        # The validity report takes no point without a finite drift and diffusion.
+        code = cli.main(["validate", "--config", str(REPO_CONFIGS / "validate.yaml"),
+                         "--set", override])
         assert (code, capsys.readouterr()) == (2, ("", self.NON_FINITE))
 
     @pytest.mark.filterwarnings("error")
@@ -620,3 +631,13 @@ def test_every_exported_name_resolves(module):
     # perfbench/child.py --trace 1 looks up each __all__ name of these layers with getattr.
     loaded = importlib.import_module(module)
     assert [name for name in loaded.__all__ if not hasattr(loaded, name)] == []
+
+
+def test_package_exports_each_modules_public_names():
+    import magsqueeze
+    from magsqueeze import analysis, errors, gaussian, model, solver
+
+    modules = (errors, gaussian, model, solver, analysis)
+    expected = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert magsqueeze.__all__ == expected
+    assert len(set(expected)) == len(expected)

@@ -304,6 +304,7 @@ def command_point(config: str, *overrides: str) -> SystemParams:
 @example([command_point("default.yaml", "g_a_over_2pi_hz=1e200")])
 @example([command_point("default.yaml", "omega_b_over_2pi_hz=1e-300", "temperature_value=1e10")])
 @example([command_point("wigner.yaml", "temperature_value=1e300")])
+@example([command_point("default.yaml", "temperature_value=1e308")])
 def test_every_finite_point_gets_a_verdict(drawn):
     # No exception and no numpy warning escapes; a point's outcome does not
     # depend on its batch, and the scalar path raises the verdict's class.

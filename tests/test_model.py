@@ -21,7 +21,7 @@ from magsqueeze import (
     total_spins,
     validity_report,
 )
-from magsqueeze.errors import NON_FINITE, OK, RESONANCE
+from magsqueeze.errors import NO_FIXED_POINT, NON_FINITE, OK, RESONANCE, verdict_error
 from magsqueeze.model import derive_many
 
 from conftest import BASE_PARAMS, KAPPA_A, TWO_PI, make_params
@@ -509,6 +509,23 @@ class TestValidityReport:
         assert report.kerr_drive_ratio == np.inf
         assert (report.magnon_occupation == np.inf) == (rabi == 1e200)
         assert not report.low_excitation_ok and not report.kerr_ok
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_amplitude_reads_inf(self):
+        # rabi * (-m11 + i m10) overflows, so the solved amplitude is NaN.
+        p = driven_params(rabi=1e305)
+        assert np.isnan(evaluate([p]).m_s[0])
+        report = report_of(p, TWO_PI * 6.4e-9)
+        assert report.magnon_amplitude == report.kerr_drive_ratio == np.inf
+        assert report.stable and not report.low_excitation_ok and not report.kerr_ok
+
+    @pytest.mark.parametrize("code", [RESONANCE, NO_FIXED_POINT, NON_FINITE])
+    def test_verdicts_before_unstable_raise(self, code):
+        # These points have no steady amplitude, or no finite drift and diffusion.
+        expected = verdict_error(code)
+        with pytest.raises(type(expected)) as caught:
+            validity_report(driven_params(), TWO_PI * 6.4e-9, 0j, code)
+        assert str(caught.value) == str(expected)
 
     def test_rejects_negative_kerr(self):
         with pytest.raises(InvalidInputError):
