@@ -140,22 +140,25 @@ def _number(
     the message then says what ``where`` ``must`` be."""
     # YAML 1.1 only treats exponent forms with a decimal point as floats;
     # accept the bare string form ("6e6") as a convenience.
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            number = scale * float(value)
-        except ValueError:
-            pass
-        else:
-            if test is None or test(number):
-                return number
-            raise ConfigError(f"{where} must be {must}")
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError
+        number = scale * float(value)
+    except OverflowError:  # an int past the float range reads as +-inf, as YAML reads 1e400
+        number = scale * (math.inf if value > 0 else -math.inf)
+    except ValueError:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if test is None or test(number):
+        return number
+    raise ConfigError(f"{where} must be {must}")
 
 
 def _integer(value: Any, where: str, least: int, must: str) -> int:
-    """``value``, which must be an integer (not a bool) of at least ``least``."""
+    """``value``, which must be an integer (not a bool) of at least ``least`` that fits np.intp."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{where} must be {must}")
+    if value > np.iinfo(np.intp).max:
+        raise ConfigError(f"{where} must be at most {np.iinfo(np.intp).max}")
     return value
 
 
@@ -192,7 +195,7 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
     axis = _block(raw, where, ("name", "start", "stop", "points", "unit"),
                   ("name", "start", "stop", "points"))
     name = axis["name"]
-    if name not in _AXIS_COLUMNS:
+    if not isinstance(name, str) or name not in _AXIS_COLUMNS:
         raise ConfigError(
             f"unknown sweep axis {name!r}; valid axes: {sorted(_AXIS_COLUMNS)}"
         )
@@ -246,34 +249,35 @@ def _parse_wigner(raw: Any) -> WignerSpec:
     return WignerSpec(phases=phases, points_per_axis=points, extent_sigmas=sigmas)
 
 
+def _load_yaml(text: str, what: str) -> Any:
+    """``text`` by the safe loader; a parse or tag error (``!!int abc``) is a ConfigError."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        raise ConfigError(f"cannot parse {what}: {exc}") from exc
+
+
 def apply_overrides(raw: dict[str, Any], assignments: Sequence[str]) -> dict[str, Any]:
     """Apply ``--set key=value`` assignments onto the raw config tree.
 
-    Bare keys address the parameters section; dotted keys address scalar
-    keys in other sections (for example ``steady.dump_covariance=true``).
-    Values are parsed as YAML scalars.
+    A bare key is ``parameters.<key>``; a dotted key addresses a scalar key of
+    any section (for example ``steady.dump_covariance=true``), and a null
+    section reads as empty.  Values are parsed as YAML scalars.
     """
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
+    out = dict(raw)
     for assignment in assignments:
         if "=" not in assignment:
             raise ConfigError(f"override {assignment!r} is not of the form key=value")
         key, text = assignment.split("=", 1)
         key = key.strip()
-        try:
-            value = yaml.load(text, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse override value {text!r}: {exc}") from exc
-        if "." in key:
-            section, sub = key.split(".", 1)
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown config section {section!r} in override {key!r}")
-            out.setdefault(section, {})
-            if not isinstance(out[section], dict):
-                raise ConfigError(f"section {section!r} is not a mapping")
-            out[section][sub] = value
-        else:
-            out.setdefault("parameters", {})
-            out["parameters"][key] = value
+        value = _load_yaml(text, f"override value {text!r}")
+        section, sub = key.split(".", 1) if "." in key else ("parameters", key)
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section {section!r} in override {key!r}")
+        block = {} if out.get(section) is None else out[section]
+        if not isinstance(block, Mapping):
+            raise ConfigError(f"section {section!r} is not a mapping")
+        out[section] = {**block, sub: value}
     return out
 
 
@@ -318,8 +322,4 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {file}")
-    try:
-        raw = yaml.load(file.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {file}: {exc}") from exc
-    return build_run_config(raw, overrides)
+    return build_run_config(_load_yaml(file.read_text(encoding="utf-8"), f"{file}"), overrides)

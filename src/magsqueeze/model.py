@@ -483,8 +483,8 @@ def validity_report(
     amplitude = math.inf if math.isnan(amplitude) else amplitude
     occupation = _power(amplitude, 2)
     bound = 2.0 * total_spins(params.sphere_diameter) * SPIN_S
-    kerr_shift = kerr_coefficient * _power(amplitude, 3)
-    # A zero drive gives m_s = 0 and so a zero Kerr shift.
+    # No Kerr term, or a zero drive (m_s = 0), gives a zero Kerr shift, even where |m_s|^3 is inf.
+    kerr_shift = kerr_coefficient * _power(amplitude, 3) if kerr_coefficient else 0.0
     ratio = kerr_shift / rabi if rabi else 0.0
     return ValidityReport(
         amplitude, occupation, bound, kerr_coefficient, ratio, rabi,

@@ -511,6 +511,13 @@ class TestValidityReport:
         assert not report.low_excitation_ok and not report.kerr_ok
 
     @pytest.mark.filterwarnings("error")
+    def test_zero_kerr_has_no_shift_at_an_overflowing_amplitude(self):
+        # 0 * |m_s|^3 would be 0 * inf = NaN; with no Kerr term the shift is 0.
+        report = report_of(driven_params(rabi=1e120), 0.0)
+        assert report.kerr_drive_ratio == 0.0 and report.kerr_ok
+        assert not report.low_excitation_ok
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowed_amplitude_reads_inf(self):
         # rabi * (-m11 + i m10) overflows, so the solved amplitude is NaN.
         p = driven_params(rabi=1e305)
