@@ -22,9 +22,9 @@ of ``load_config``, ``run`` from there to the return of ``cli.main`` and
 The run is stored under ``--label`` in the JSON file ``--output`` (other
 labels in that file are kept; stage runs under ``runs``, launch runs under
 ``launch_runs``), with the repeat count, the git sha of the timed checkout,
-the hash of the git tree that was timed, the machine and the numpy and BLAS
-versions.  ``--src`` times another checkout's ``src`` directory with the same
-inputs.
+the hash of the git tree of the timed ``src`` directory (with any uncommitted
+changes to it), the machine and the numpy and BLAS versions.  ``--src`` times
+another checkout's ``src`` directory with the same inputs.
 
 Usage:
     python scripts/stage_times.py --output BENCH.json [--label change] [--repeats 21]
@@ -91,14 +91,15 @@ def _git(src: Path, *args: str) -> str | None:
 
 
 def _tree_sha(src: Path, dirty: bool) -> str | None:
-    """The git tree of the tracked files as they are in the checkout of ``src``.
+    """The git tree of the tracked files under ``src`` as they are in its checkout, so
+    that an edit elsewhere (a document, a BENCH file) leaves it unchanged.
 
-    With uncommitted changes that is the tree of ``git stash create``'s
-    commit, which snapshots them without touching the working tree or any
-    ref; otherwise it is HEAD's tree.
+    With uncommitted changes under ``src`` that is ``src``'s tree in ``git stash
+    create``'s commit, which snapshots them without touching the working tree or
+    any ref; otherwise it is ``src``'s tree at HEAD.
     """
     commit = _git(src, "stash", "create") if dirty else "HEAD"
-    return _git(src, "rev-parse", f"{commit}^{{tree}}") if commit else None
+    return _git(src, "rev-parse", f"{commit}:./") if commit else None
 
 
 def _machine() -> dict[str, object]:
@@ -230,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
 
     src = args.src.resolve()
     timed = measure_launches(src, args.repeats) if args.launch else measure(src, args.repeats)
-    dirty = bool(_git(src, "status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(_git(src, "status", "--porcelain", "--untracked-files=no", "--", "."))
     run = {
         "git_sha": _git(src, "rev-parse", "HEAD"),
         "tree_sha": _tree_sha(src, dirty),

@@ -52,7 +52,6 @@ __all__ = [
     "SweepResult",
     "SWEEP_AXES",
     "bipartite_entanglement",
-    "contrast_ratio",
     "directional_measures",
     "Evaluation",
     "evaluate",
@@ -89,10 +88,6 @@ class ModePair(enum.Enum):
     CAVITY_MAGNON = (0, 1)
     CAVITY_PHONON = (0, 2)
     MAGNON_PHONON = (1, 2)
-
-    @property
-    def indices(self) -> tuple[int, int]:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def bipartite_entanglement(v: CovarianceMatrix, pair: ModePair) -> float:
     """Logarithmic negativity between the two modes of ``pair`` in a 3-mode state."""
     if v.n_modes != 3:
         raise InvalidInputError(f"expected a 3-mode state, got {v.n_modes} modes")
-    i, j = pair.indices
+    i, j = pair.value
     return log_negativity(v, Partition({i}, {j}))
 
 
@@ -247,15 +242,6 @@ def _contrast(steady: np.ndarray, measures: np.ndarray) -> np.ndarray:
     forward, backward = np.moveaxis(np.where(steady[..., None], measures, 0.0), -2, 0)
     total = forward + backward
     return np.where(total < _CONTRAST_FLOOR, 0.0, np.abs(forward - backward) / total)
-
-
-def contrast_ratio(forward: float, backward: float) -> float:
-    """Bidirectional contrast |f - b| / (f + b), with 0/0 defined as 0."""
-    if forward < 0.0 or backward < 0.0:
-        raise InvalidInputError(
-            f"contrast inputs must be non-negative, got ({forward}, {backward})"
-        )
-    return float(_contrast(np.ones(2, dtype=bool), np.array([[forward], [backward]]))[0])
 
 
 def directional_measures(params: SystemParams, pairing: PhasePairing) -> ContrastRecord:

@@ -208,6 +208,12 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
         if name != "temperature":
             raise ConfigError("axis 'unit' is only supported for the temperature axis")
         scale = _temperature_scale(axis["unit"], "temperature axis unit")
+    # Ends that are not finite in SI units, or a span past the float range, would make
+    # np.linspace or the scaling overflow (a numpy warning) before sweep rejects the axis.
+    for key in ("start", "stop"):
+        _number(axis[key], f"{where}.{key}", scale, "finite in SI units", math.isfinite)
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{where} must span a finite range: stop - start overflows")
     grid = np.linspace(start, stop, points)
     si = grid * scale
     # Temperature is always reported in kelvin regardless of the input unit.

@@ -205,8 +205,8 @@ def test_05_amplitude_contrast_profile(fig3a):
     assert mb_ideal, "no ideal C_mb sub-interval above kappa_a"
     assert 0.15 <= ab_peak <= 0.35, (
         f"peak C_ab = {ab_peak:.4f}, target 0.25 +/- 0.10"
-        " (the backward phase loses its steady state at large amplitude,"
-        " which drives the contrast to 1)"
+        " (both phases are stable up to 1.88 kappa_a; from 1.14 kappa_a the forward"
+        " phase has E_ab = 0 while the backward keeps about 0.04, which gives contrast 1)"
     )
 
 

@@ -84,6 +84,15 @@ CASES = [
      "unknown sweep axis {'a': 1}; valid axes: ['G_m', 'delta_a', 'delta_m', 'g_a',"
      " 'temperature', 'theta', 'upsilon']"),
     ("axis_start", tree(sweep=axis(start=None)), "sweep.axes[0].start must be a number, got None"),
+    ("axis_start_inf", tree(sweep=axis(start=math.inf)),
+     "sweep.axes[0].start must be finite in SI units"),
+    ("axis_start_overflows_in_si", tree(sweep=axis(start=1e308)),
+     "sweep.axes[0].start must be finite in SI units"),
+    # On a 2 pi-scaled axis both ends overflow in SI units before their span does.
+    ("axis_ends_overflow_in_si", tree(sweep=axis(start=-1e308, stop=1e308)),
+     "sweep.axes[0].start must be finite in SI units"),
+    ("axis_span_overflows", tree(sweep=axis(name="theta", start=-1e308, stop=1e308)),
+     "sweep.axes[0] must span a finite range: stop - start overflows"),
     ("unit_off_temperature", tree(sweep=axis(unit="K")),
      "axis 'unit' is only supported for the temperature axis"),
     ("temperature_axis_unit", tree(sweep=axis(name="temperature", unit="F")),
