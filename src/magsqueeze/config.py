@@ -214,8 +214,11 @@ def _parse_axis(raw: Any, index: int) -> AxisSpec:
         _number(axis[key], f"{where}.{key}", scale, "finite in SI units", math.isfinite)
     if not math.isfinite(stop - start):
         raise ConfigError(f"{where} must span a finite range: stop - start overflows")
-    grid = np.linspace(start, stop, points)
-    si = grid * scale
+    # np.linspace forms (points - 1) * step before it writes stop, which can overflow at a
+    # span within rounding of the float max; sweep rejects any grid value left non-finite.
+    with np.errstate(over="ignore"):
+        grid = np.linspace(start, stop, points)
+        si = grid * scale
     # Temperature is always reported in kelvin regardless of the input unit.
     display = si if name == "temperature" else grid
     return AxisSpec(name=name, si_values=si, display_values=display, column_name=column)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -186,6 +188,14 @@ def test_bare_key_on_a_list_parameters_section():
     with pytest.raises(ConfigError) as caught:
         build_run_config(tree(parameters=[1]), ["upsilon_over_2pi_hz=1"])
     assert str(caught.value) == "section 'parameters' is not a mapping"
+
+
+def test_axis_spanning_the_float_max_builds_without_a_warning():
+    # np.linspace(0, max, 4) overflows in its own step product, though its grid is finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = build_run_config(tree(sweep=axis(name="theta", stop=sys.float_info.max, points=4)))
+    assert config.sweep.axes[0].si_values[-1] == sys.float_info.max
 
 
 def test_dotted_key_fills_a_null_section():
