@@ -4,9 +4,9 @@ All routines use the quadrature ordering ``(x_1, p_1, x_2, p_2, ...)`` and
 the convention in which the vacuum covariance matrix is ``I/2`` (so the
 uncertainty bound reads ``V + (i/2) Omega >= 0``).
 
-The measures provided are the logarithmic negativity for 1|1 and 1|2 mode
-partitions, its square (the continuous-variable tangle), and the residual
-tangle that quantifies genuinely tripartite entanglement through the
+The measures provided are the logarithmic negativity of a bipartition of 2
+or 3 modes, and the residual tangle (from its square, the continuous-variable
+tangle) that quantifies genuinely tripartite entanglement through the
 monogamy decomposition.
 """
 
@@ -39,7 +39,6 @@ __all__ = [
     "symplectic_eigenvalues",
     "partial_transpose",
     "log_negativity",
-    "contangle",
     "residual_contangle",
     "min_residual_contangle",
     "three_mode_measures",
@@ -61,8 +60,8 @@ class CovarianceMatrix:
     ----------
     data:
         Real square array of shape ``(2n, 2n)`` in interleaved quadrature
-        ordering. It must be finite and symmetric to within a relative
-        tolerance of 1e-12; violating either raises ``InvalidInputError``.
+        ordering. Its entries must be finite, and it must be symmetric to within
+        a relative tolerance of 1e-12; violating either raises ``InvalidInputError``.
         Physicality (the uncertainty bound) is *not* enforced here because
         partial transposition legitimately produces unphysical matrices.
     """
@@ -213,12 +212,11 @@ def partial_transpose(v: CovarianceMatrix, party: Iterable[int]) -> CovarianceMa
     signs = np.ones(2 * v.n_modes)
     for m in modes:
         signs[2 * m + 1] = -1.0
-    p = np.diag(signs)
-    return CovarianceMatrix(p @ v.data @ p)
+    return CovarianceMatrix(v.data * np.outer(signs, signs))
 
 
 def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
-    """Logarithmic negativity across a 1|1 or 1|2 mode bipartition.
+    """Logarithmic negativity across a bipartition of 2 or 3 modes.
 
     The state is restricted to the partition's modes, party A is partially
     transposed, and the measure is ``max(0, -ln(2 nu))`` with ``nu`` the
@@ -230,7 +228,7 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         If ``v`` is unphysical.
     InvalidInputError
         If ``v`` is not positive definite, or the partition does not cover
-        exactly 2 or 3 modes with at least one party being a single mode.
+        exactly 2 or 3 modes.
     NumericalError
         If ``v`` has a condition number above 1e7, where rounding alone
         gives a product state a negativity above 1e-9.
@@ -240,21 +238,15 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         raise InvalidInputError(f"partition modes {modes} out of range")
     if len(modes) not in (2, 3):
         raise InvalidInputError("partition must cover 2 or 3 modes in total")
-    if min(len(partition.party_a), len(partition.party_b)) != 1:
-        raise InvalidInputError("partition must be 1|1 or 1|2")
     raise_first(*_exact_verdicts(v.data[None]))
 
     sub = v.restricted(modes)
     local_a = [modes.index(m) for m in partition.party_a]
-    nu_min = float(symplectic_eigenvalues(partial_transpose(sub, local_a))[0])
+    # V passed the exact checks, so the partial transpose factors (see three_mode_measures).
+    nu_min = float(_symplectic_spectra(partial_transpose(sub, local_a).data)[0])
     if nu_min <= 0.0:
         raise verdict_error(NON_POSITIVE_SPECTRUM)
     return max(0.0, -float(np.log(2.0 * nu_min)))
-
-
-def contangle(v: CovarianceMatrix, partition: Partition) -> float:
-    """Squared logarithmic negativity, the measure entering monogamy sums."""
-    return log_negativity(v, partition) ** 2
 
 
 def residual_contangle(v: CovarianceMatrix, focus_mode: int) -> float:
@@ -270,8 +262,8 @@ def residual_contangle(v: CovarianceMatrix, focus_mode: int) -> float:
     if focus_mode not in (0, 1, 2):
         raise InvalidInputError(f"focus_mode must be 0, 1 or 2, got {focus_mode}")
     others = [m for m in range(3) if m != focus_mode]
-    total = contangle(v, Partition({focus_mode}, set(others)))
-    split = sum(contangle(v, Partition({focus_mode}, {m})) for m in others)
+    total = log_negativity(v, Partition({focus_mode}, set(others))) ** 2
+    split = sum(log_negativity(v, Partition({focus_mode}, {m})) ** 2 for m in others)
     return total - split
 
 
@@ -293,7 +285,7 @@ def wigner_single_mode(
     Parameters
     ----------
     v_sub:
-        2x2 covariance matrix of the mode (symmetric positive definite).
+        2x2 covariance matrix of the mode, positive definite and valid as a ``CovarianceMatrix``.
     grid:
         Array of shape ``(N, 2)`` of phase-space points ``(x, p)``.
 
@@ -302,14 +294,10 @@ def wigner_single_mode(
     Array of ``N`` Wigner values
     ``W(u) = exp(-u^T V^{-1} u / 2) / (2 pi sqrt(det V))``.
     """
-    m = np.asarray(v_sub, dtype=np.float64)
+    m = CovarianceMatrix(v_sub).data
     if m.shape != (2, 2):
         raise InvalidInputError(f"expected a 2x2 covariance block, got shape {m.shape}")
     unit, scale = _unit_scaled(m)
-    if not np.all(np.isfinite(m)) or abs(unit[0, 1] - unit[1, 0]) > _SYMMETRY_RTOL * max(
-        1.0 / scale, np.linalg.norm(unit)
-    ):
-        raise InvalidInputError("covariance block must be finite and symmetric")
     det = float(np.linalg.det(unit))  # det(m) / scale^2
     if det <= 0.0 or m[0, 0] <= 0.0:
         raise InvalidStateError(

@@ -414,8 +414,8 @@ def drift_stack(c: Columns, derived: DerivedColumns) -> NDArray[np.float64]:
     enters the magnon block only (see ``_magnon_block``).  ``derived`` is
     ``derive_many(c)``; the matrix of a point it failed is not meaningful.
     """
-    # Real drift entry: the phase of i sqrt(2) g_m m_s is absorbed into the
-    # mechanical quadrature reference, leaving the modulus.
+    # Real drift entry at m_s = -i|m_s|, the direct-G_m convention of Li, Zhu & Agarwal (PRL 121,
+    # 203601). A driven point's arg(m_s) is dropped: with squeezing, no frame rotation absorbs it.
     g = np.where(np.isnan(c["G_m"]), math.sqrt(2.0) * c["g_m"] * np.abs(derived.m_s), c["G_m"])
     gamma = np.zeros((derived.code.size, 6, 6))
     gamma[:, 0, 0] = gamma[:, 1, 1] = -c["kappa_a"]

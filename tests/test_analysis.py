@@ -276,6 +276,16 @@ class TestSweep:
         with pytest.raises(ConfigError, match="upsilon"):
             sweep(p, [("upsilon", [1.0, -1.0])])
 
+    def test_result_rejects_a_point_count_off_its_axes(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(InvalidInputError, match=r"point count 4 != product of axis lengths 3"):
+            SweepResult(
+                axes=(("upsilon", grid),),
+                stable=np.ones(4, dtype=bool),
+                failed=np.zeros(4, dtype=bool),
+                measures=np.zeros((4, 4)),
+            )
+
     def test_rejects_theta_axis_with_pairing(self):
         with pytest.raises(ConfigError):
             sweep(

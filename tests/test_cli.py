@@ -128,6 +128,23 @@ class TestSteady:
         assert captured.out == ""
         assert captured.err == "error: invalid parameters: sphere_diameter must be positive\n"
 
+    def test_zero_cavity_frequency_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS, omega_a_over_2pi_hz=0)})
+        assert cli.main(["steady", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid parameters: omega_a must be positive\n"
+
+    def test_validity_without_a_drive_is_skipped(self, capsys):
+        # fig3a sets G_m directly and has no drive, so a Kerr coefficient has nothing to check.
+        code = cli.main(["steady", "--config", str(REPO_CONFIGS / "fig3a.yaml"),
+                         "--set", "validate.kerr_over_2pi_hz=6.4e-9"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.endswith(
+            "validity: skipped (validity checks need a drive: set rabi, or h_d with sphere_diameter)\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_amplitude_prints_failed_validity(self, tmp_path, capsys):
         # The amplitude's cube overflows a float; the measures are unaffected.

@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,8 +29,6 @@ from magsqueeze.errors import OK
 from magsqueeze.model import derive_many, diffusion_stack, drift_stack, gather
 
 from test_symplectic import exact_spectrum
-
-mpmath = pytest.importorskip("mpmath")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))

@@ -15,7 +15,6 @@ from magsqueeze import (
     build_diffusion,
     build_drift,
     check_physicality,
-    contangle,
     log_negativity,
     min_residual_contangle,
     partial_transpose,
@@ -103,6 +102,10 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidInputError):
             CovarianceMatrix(v)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(InvalidInputError, match=r"must be square, got shape \(2, 4\)"):
+            CovarianceMatrix(np.ones((2, 4)))
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(InvalidInputError):
             CovarianceMatrix(np.eye(3))
@@ -134,6 +137,10 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidInputError):
             two_mode_squeezed(0.1).restricted((0, 2))
 
+    def test_mode_block_rejects_bad_mode(self):
+        with pytest.raises(InvalidInputError, match=r"mode indices \(0, 2\) out of range"):
+            two_mode_squeezed(0.1).mode_block(0, 2)
+
 
 class TestPartition:
     def test_rejects_overlap(self):
@@ -143,6 +150,10 @@ class TestPartition:
     def test_rejects_empty_side(self):
         with pytest.raises(InvalidInputError):
             Partition((), (0,))
+
+    def test_rejects_negative_mode(self):
+        with pytest.raises(InvalidInputError, match="mode indices must be non-negative"):
+            Partition((-1,), (0,))
 
     def test_order_insensitive_storage(self):
         p = Partition((2, 0), (1,))
@@ -192,6 +203,10 @@ class TestPartialTranspose:
     def test_rejects_out_of_range_mode(self):
         with pytest.raises(InvalidInputError):
             partial_transpose(two_mode_squeezed(0.1), frozenset({2}))
+
+    def test_rejects_empty_party(self):
+        with pytest.raises(InvalidInputError, match="party must contain at least one mode"):
+            partial_transpose(two_mode_squeezed(0.1), ())
 
 
 class TestLogNegativity:
@@ -250,13 +265,6 @@ class TestLogNegativity:
 
 
 class TestContangle:
-    def test_square_of_log_negativity(self):
-        state = random_stable_state(11)
-        assert state is not None
-        part = Partition((1,), (0, 2))
-        e = log_negativity(state, part)
-        assert contangle(state, part) == e * e
-
     def test_squeezed_pair_with_spectator_has_zero_residual(self):
         # Appending an uncorrelated vacuum mode must not create or destroy
         # three-way correlations.
@@ -334,6 +342,10 @@ class TestWigner:
         with pytest.raises(InvalidStateError):
             wigner_single_mode(np.zeros((2, 2)), np.zeros((1, 2)))
 
+    def test_rejects_two_mode_block(self):
+        with pytest.raises(InvalidInputError, match=r"2x2 covariance block, got shape \(4, 4\)"):
+            wigner_single_mode(0.5 * np.eye(4), np.zeros((1, 2)))
+
     def test_rejects_bad_grid_shape(self):
         with pytest.raises(InvalidInputError):
             wigner_single_mode(0.5 * np.eye(2), np.zeros((4, 3)))
@@ -355,4 +367,9 @@ class TestWigner:
     def test_rejects_asymmetric_block(self):
         block = np.array([[0.5, 0.1], [0.2, 0.5]])
         with pytest.raises(InvalidInputError):
+            wigner_single_mode(block, np.zeros((1, 2)))
+        # Held to CovarianceMatrix's rule, whose Frobenius norm of V - V^T counts the
+        # off-diagonal gap sqrt(2) times.
+        block = np.array([[0.5, 0.1], [0.1 + 8.5e-13, 0.5]])
+        with pytest.raises(InvalidInputError, match="not symmetric to within relative tolerance"):
             wigner_single_mode(block, np.zeros((1, 2)))

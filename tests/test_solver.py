@@ -265,3 +265,10 @@ class TestEvolveCovariance:
         lam[0, 0] = np.inf
         with pytest.raises(InvalidInputError):
             evolve_covariance(gamma, lam, CovarianceMatrix(0.5 * np.eye(6)), 1e-6, 1e-9)
+
+    def test_rejects_shape_mismatch(self):
+        gamma = build_drift(make_params())
+        match = "gamma, diffusion and v0 must share one square shape"
+        for lam, v0 in ((np.zeros((4, 4)), 0.5 * np.eye(6)), (np.zeros((6, 6)), 0.5 * np.eye(4))):
+            with pytest.raises(InvalidInputError, match=match):
+                evolve_covariance(gamma, lam, CovarianceMatrix(v0), 1e-6, 1e-9)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +37,6 @@ from magsqueeze.errors import CONDITION_BOUND, ILL_CONDITIONED, OK
 from magsqueeze.gaussian import _symplectic_spectra, three_mode_measures
 
 from conftest import KAPPA_A, TWO_PI, make_params, verdict
-
-mpmath = pytest.importorskip("mpmath")
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

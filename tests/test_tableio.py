@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+import numpy as np
+
+from magsqueeze.analysis import SweepResult
 from magsqueeze.errors import InvalidInputError
-from magsqueeze.tableio import ResultTable, read_csv, write_csv, write_json
+from magsqueeze.tableio import ResultTable, read_csv, sweep_table, write_csv, write_json
 
 METADATA = [("artifact", "magsqueeze test"), ("axis theta_rad", "0.0 .. 1.0 (3 points)")]
 
@@ -41,6 +44,34 @@ def test_header_only_file_reads_as_empty_columns(tmp_path):
     back = read_csv(tmp_path / "t.csv")
     assert back.columns == {"x": [], "stable": []}
     assert back.metadata == METADATA
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    (tmp_path / "t.csv").write_text("# k = v\n\nx,stable\n\n0.5,1\n")
+    back = read_csv(tmp_path / "t.csv")
+    assert back.columns == {"x": [0.5], "stable": [1]}
+    assert back.metadata == [("k", "v")]
+
+
+def test_file_without_a_header_row_is_rejected(tmp_path):
+    (tmp_path / "t.csv").write_text("# k = v\n")
+    with pytest.raises(InvalidInputError, match="has no header row"):
+        read_csv(tmp_path / "t.csv")
+
+
+def test_sweep_table_rejects_a_wrong_axis_count():
+    grid = np.array([0.0, 1.0])
+    result = SweepResult(
+        axes=(("upsilon", grid),),
+        stable=np.ones(2, dtype=bool),
+        failed=np.zeros(2, dtype=bool),
+        measures=np.zeros((2, 4)),
+    )
+    match = "axis_columns must match the sweep axes in count and length"
+    with pytest.raises(InvalidInputError, match=match):
+        sweep_table(result, [])
+    with pytest.raises(InvalidInputError, match=match):
+        sweep_table(result, [("upsilon", grid), ("theta_rad", grid)])
 
 
 def test_json_columns_are_the_table_columns(tmp_path):
