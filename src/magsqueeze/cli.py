@@ -16,7 +16,6 @@ from . import __version__
 from .analysis import CONTRASTS, MEASURES, Evaluation, evaluate, sweep, temperature_thresholds
 from .config import RunConfig, load_config
 from .errors import (
-    UNSTABLE,
     ConfigError,
     InvalidInputError,
     MagsqueezeError,
@@ -85,13 +84,9 @@ def _validity(config: RunConfig, evaluation: Evaluation) -> ValidityReport:
 
 def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
     evaluation = evaluate([config.params])
-    max_real, code = float(evaluation.max_real_part[0]), evaluation.code[0]
-    if code == UNSTABLE:
-        raise NoSteadyStateError(
-            f"no steady state: max drift eigenvalue real part = {_fmt(max_real)} rad/s"
-        )
     raise_first(evaluation.code, evaluation.value)
 
+    max_real = float(evaluation.max_real_part[0])
     print(f"stability: stable (max Re eigenvalue = {_fmt(max_real)} rad/s)")
     for name, value in zip(MEASURES, evaluation.measures[0].tolist()):
         print(f"{name} = {_fmt(value)}")
@@ -166,7 +161,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
     raise_first(evaluation.code, evaluation.value)
     for theta, covariance in zip(spec.phases, evaluation.covariances):
-        block = CovarianceMatrix(covariance).mode_block(1, 1)
+        block = CovarianceMatrix(covariance).restricted([1]).data
         extent = spec.extent_sigmas * float(np.sqrt(np.linalg.eigvalsh(block)[-1]))
         axis = np.linspace(-extent, extent, spec.points_per_axis)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")

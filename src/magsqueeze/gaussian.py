@@ -13,7 +13,7 @@ monogamy decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,19 +34,16 @@ from .errors import (
 __all__ = [
     "CovarianceMatrix",
     "Partition",
-    "PhysicalityReport",
     "symplectic_form",
-    "symplectic_eigenvalues",
     "partial_transpose",
     "log_negativity",
     "residual_contangle",
     "min_residual_contangle",
     "three_mode_measures",
     "wigner_single_mode",
-    "check_physicality",
 ]
 
-# Uncertainty-relation slack accepted by check_physicality.
+# Uncertainty-relation slack accepted by the exact state checks (_exact_verdicts).
 PHYSICALITY_TOL: float = 1e-9
 
 _SYMMETRY_RTOL: float = 1e-12
@@ -91,12 +88,6 @@ class CovarianceMatrix:
     def n_modes(self) -> int:
         return self.data.shape[0] // 2
 
-    def mode_block(self, i: int, j: int) -> NDArray[np.float64]:
-        """Return the 2x2 block coupling modes ``i`` and ``j`` (copy)."""
-        if not (0 <= i < self.n_modes and 0 <= j < self.n_modes):
-            raise InvalidInputError(f"mode indices ({i}, {j}) out of range")
-        return self.data[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].copy()
-
     def restricted(self, modes: Sequence[int]) -> "CovarianceMatrix":
         """Reduced covariance matrix of the given modes, in the given order."""
         idx: list[int] = []
@@ -138,17 +129,6 @@ class Partition:
         return tuple(sorted(self.party_a | self.party_b))
 
 
-class PhysicalityReport(NamedTuple):
-    """Outcome of the uncertainty-relation check.
-
-    ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian matrix
-    ``V + (i/2) Omega``; the state is physical when it is >= -1e-9.
-    """
-
-    is_physical: bool
-    min_eigenvalue: float
-
-
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     """Symplectic form Omega for ``n_modes`` modes in interleaved ordering.
 
@@ -161,27 +141,6 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
     return omega
-
-
-def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
-    """Symplectic spectrum of a positive definite covariance matrix.
-
-    Returns the ``n`` symplectic eigenvalues sorted ascending: the positive
-    eigenvalues of the Hermitian ``i L^T Omega L``, with ``V = L L^T`` the
-    Cholesky factorization (Williamson 1936; Serafini, Quantum Continuous Variables).
-
-    Raises
-    ------
-    InvalidInputError
-        If ``v`` is not positive definite, or too ill-conditioned (near
-        1/eps) for its Cholesky factorization to succeed.
-    """
-    if float(np.linalg.eigvalsh(v.data)[0]) <= 0.0:
-        raise verdict_error(NOT_DEFINITE)
-    try:
-        return _symplectic_spectra(v.data)
-    except np.linalg.LinAlgError:
-        raise verdict_error(NOT_DEFINITE) from None
 
 
 def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -309,15 +268,6 @@ def wigner_single_mode(
     inv = np.linalg.inv(m)
     quad = np.einsum("ni,ij,nj->n", pts, inv, pts)
     return np.exp(-0.5 * quad) / (2.0 * np.pi * (np.sqrt(det) * scale))
-
-
-def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:
-    """Check the bosonic uncertainty bound ``V + (i/2) Omega >= 0``.
-
-    A small negative tolerance of 1e-9 absorbs rounding in eigensolves.
-    """
-    min_eig = float(_uncertainty_floor(v.data))
-    return PhysicalityReport(is_physical=min_eig >= -PHYSICALITY_TOL, min_eigenvalue=min_eig)
 
 
 def _uncertainty_floor(arr: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -22,7 +22,6 @@ from magsqueeze import (
     PhasePairing,
     build_diffusion,
     build_drift,
-    check_physicality,
     cli,
     directional_measures,
     evolve_covariance,
@@ -33,6 +32,7 @@ from magsqueeze import (
     temperature_thresholds,
 )
 from magsqueeze.analysis import CONTRASTS, MEASURES
+from magsqueeze.gaussian import _uncertainty_floor
 
 from conftest import KAPPA_A, TWO_PI, make_params
 
@@ -111,7 +111,7 @@ def grid_checks():
             np.linalg.norm(gamma @ v.data + v.data @ gamma.T + lam) / np.linalg.norm(lam)
         )
         worst["residual"] = max(worst["residual"], residual)
-        worst["min_eig"] = min(worst["min_eig"], check_physicality(v).min_eigenvalue)
+        worst["min_eig"] = min(worst["min_eig"], float(_uncertainty_floor(v.data)))
         if with_monogamy:
             worst["monogamy"] = min(
                 worst["monogamy"],

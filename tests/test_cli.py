@@ -117,7 +117,18 @@ class TestSteady:
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
         code = cli.main(["steady", "--config", cfg, "--set", "upsilon_over_2pi_hz=6.0e6"])
         assert code == 3
-        assert "no steady state" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: drift matrix is not stable (max eigenvalue real part "
+        )
+
+    def test_unstable_point_reads_the_same_in_steady_and_wigner(self, tmp_path, capsys):
+        # default.yaml's phase, as the one wigner phase: both commands solve the same point.
+        argv = ["--config", str(REPO_CONFIGS / "default.yaml"), "--output", str(tmp_path),
+                "--set", "upsilon_over_2pi_hz=6.0e6"]
+        assert cli.main(["steady", *argv]) == 3
+        steady_err = capsys.readouterr().err
+        assert cli.main(["wigner", *argv, "--set", "wigner.phases_rad=[4.71238898038469]"]) == 3
+        assert capsys.readouterr().err == steady_err
 
     @pytest.mark.parametrize("drive", [{"rabi_rad_per_s": 1.48e15}, {}])
     def test_zero_sphere_diameter_exits_2(self, tmp_path, capsys, drive):

@@ -15,11 +15,11 @@ from magsqueeze import (
     NumericalError,
     build_diffusion,
     build_drift,
-    check_physicality,
     evolve_covariance,
     solve_lyapunov,
     stability,
 )
+from magsqueeze.gaussian import PHYSICALITY_TOL, _uncertainty_floor
 from magsqueeze.solver import steady_stack
 
 from conftest import TWO_PI, make_params, verdict
@@ -94,9 +94,9 @@ class TestSolveLyapunov:
         joint = solve_lyapunov(
             scipy.linalg.block_diag(g1, g2), scipy.linalg.block_diag(l1, l2)
         )
-        np.testing.assert_allclose(joint.mode_block(0, 0), solve_lyapunov(g1, l1).data, rtol=1e-12)
-        np.testing.assert_allclose(joint.mode_block(1, 1), solve_lyapunov(g2, l2).data, rtol=1e-12)
-        np.testing.assert_allclose(joint.mode_block(0, 1), 0.0, atol=1e-18)
+        np.testing.assert_allclose(joint.data[:2, :2], solve_lyapunov(g1, l1).data, rtol=1e-12)
+        np.testing.assert_allclose(joint.data[2:, 2:], solve_lyapunov(g2, l2).data, rtol=1e-12)
+        np.testing.assert_allclose(joint.data[:2, 2:], 0.0, atol=1e-18)
 
     def test_matches_scipy_on_random_stable_systems(self):
         rng = np.random.default_rng(8131)
@@ -110,7 +110,7 @@ class TestSolveLyapunov:
     def test_working_point_state_is_physical_and_symmetric(self):
         v = solve_lyapunov(build_drift(make_params()), build_diffusion(make_params()))
         assert np.array_equal(v.data, v.data.T)
-        assert check_physicality(v).is_physical
+        assert _uncertainty_floor(v.data[None])[0] >= -PHYSICALITY_TOL
 
     def test_refuses_unstable_drift(self):
         params = make_params(upsilon=2.0 * TWO_PI * 3e6)
