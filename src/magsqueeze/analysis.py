@@ -203,14 +203,11 @@ def evaluate(points: Sequence[SystemParams] | Columns) -> Evaluation:
     code, value = derived.code.copy(), np.full(n, np.nan)
     for start in range(0, n, _CHUNK):
         solved = start + np.flatnonzero(code[start:start + _CHUNK] == OK)
-        if not solved.size:
-            continue
         max_real[solved], covariances[solved], code[solved], value[solved] = steady_stack(
             gammas[solved], diffusions[solved]
         )
         steady = solved[code[solved] == OK]
-        if steady.size:
-            measures[steady], code[steady], value[steady] = three_mode_measures(covariances[steady])
+        measures[steady], code[steady], value[steady] = three_mode_measures(covariances[steady])
     return Evaluation(max_real, covariances, measures, code, value, derived.m_s)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ParametricResonanceError,
     raise_first,
 )
-from .gaussian import CovarianceMatrix, wigner_single_mode
+from .gaussian import wigner_single_mode
 from .model import ValidityReport, rabi_frequency, total_spins, validity_report
 from .tableio import ResultTable, sweep_table, write_csv, write_json
 
@@ -161,7 +161,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
     raise_first(evaluation.code, evaluation.value)
     for theta, covariance in zip(spec.phases, evaluation.covariances):
-        block = CovarianceMatrix(covariance).restricted([1]).data
+        block = covariance[2:4, 2:4]
         extent = spec.extent_sigmas * float(np.sqrt(np.linalg.eigvalsh(block)[-1]))
         axis = np.linspace(-extent, extent, spec.points_per_axis)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
@@ -250,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "wigner":
             return cmd_wigner(config, out_dir, args.format)
         return cmd_validate(config)
-    except (MagsqueezeError, OSError) as exc:
+    except (MagsqueezeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (NoSteadyStateError, ParametricResonanceError, NoMeasuresError)):
             return EXIT_NO_STEADY_STATE

@@ -98,11 +98,11 @@ class CovarianceMatrix:
         return CovarianceMatrix(self.data[np.ix_(idx, idx)])
 
 
-def _unit_scaled(arr: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
-    """``arr`` over the power of two ``scale`` <= max|arr|, and ``scale``; exact, and no square
-    of an entry of the quotient overflows."""
-    scale = float(np.ldexp(1.0, np.frexp(np.abs(arr).max())[1] - 1))
-    return arr / scale, scale
+def _unit_scaled(arr: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Each matrix of ``arr`` over the power of two ``scale`` <= its max|entry|, and ``scale``;
+    exact, and no square of an entry of a quotient overflows."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(arr).max(axis=(-2, -1)))[1] - 1)
+    return arr / scale[..., None, None], scale
 
 
 @dataclass(frozen=True)

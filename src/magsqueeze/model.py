@@ -264,19 +264,19 @@ def _amplitude(system: NDArray, delta_m_bar: NDArray) -> tuple[NDArray, NDArray[
 @np.errstate(divide="ignore", invalid="ignore")  # the step not taken may divide by zero
 def _brentq(
     f: Callable[[NDArray], NDArray], xpre: NDArray, xcur: NDArray, fpre: NDArray,
-    fcur: NDArray, xtol: NDArray, rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100,
+    fcur: NDArray, xtol: NDArray,
 ) -> NDArray[np.float64]:
     """Brent's method on independent brackets, step for step as the C routine
     ``brentq.c`` (Brent 1973, ch. 4) with its relative tolerance floor 4 eps.
 
     ``f(x)`` evaluates the function of each bracket at its entry of ``x``;
     ``fpre`` and ``fcur`` are their nonzero values of opposite sign at the
-    ends.  Brackets not converged after ``maxiter`` steps get NaN; converged
+    ends.  Brackets not converged after 100 steps get NaN; converged
     ones keep stepping with the rest, but their first root is the one kept.
     """
     root = np.full(xcur.size, np.nan)
     xblk = fblk = spre = scur = np.zeros(xcur.size)
-    for _ in range(maxiter):
+    for _ in range(100):
         flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
         spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
@@ -284,7 +284,7 @@ def _brentq(
         xpre, xcur = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur)
         fpre, fcur = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur)
         xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
-        delta = (xtol + rtol * np.abs(xcur)) / 2
+        delta = (xtol + 4.0 * np.finfo(float).eps * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = np.isnan(root) & ((fcur == 0) | (np.abs(sbis) < delta))
         root[done] = xcur[done]
@@ -311,12 +311,15 @@ def _self_consistent_shift(
 
     ``system`` is their ``_amplitude_system``.  Writes the solutions into ``delta_bar`` (bare
     detunings on entry) and ``m_s``, and the verdict codes of the points without one into ``code``.
+    Direct detunings, or a direct G_m, take no backaction: such a point converges at its first
+    iterate, the amplitude at the bare detuning.
     """
+    shift = np.isnan(c["G_m"]) & ~np.isnan(c["omega_0"])
 
     def shifted(x: NDArray, sel: NDArray, system: NDArray) -> tuple[NDArray, NDArray, NDArray]:
         m, pole = _amplitude(system, x)
         backaction = c["g_m"][sel] ** 2 * np.abs(m) ** 2 / c["omega_b"][sel]
-        return c["delta_m"][sel] - backaction, m, pole
+        return c["delta_m"][sel] - np.where(shift[sel], backaction, 0.0), m, pole
 
     def residual(x: NDArray, sel: NDArray, system: NDArray) -> NDArray:
         # det M is real, so |m_s|^2 -> +inf on both sides of the pole: a
@@ -398,12 +401,7 @@ def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
         system = _amplitude_system(c, driven)
         finite = np.isfinite(system).all(axis=0)
         code[driven[~finite]] = NON_FINITE
-        # Direct detunings, or a direct G_m, leave the detuning unshifted.
-        shift = finite & np.isnan(c["G_m"][driven]) & ~np.isnan(c["omega_0"][driven])
-        direct = driven[finite & ~shift]
-        m_s[direct], pole = _amplitude(system[:, finite & ~shift], delta_bar[direct])
-        code[direct[pole]] = RESONANCE
-        _self_consistent_shift(c, driven[shift], system[:, shift], delta_bar, m_s, code)
+        _self_consistent_shift(c, driven[finite], system[:, finite], delta_bar, m_s, code)
     return DerivedColumns(delta_bar, m_s, code)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NumericalError,
     raise_first,
 )
-from .gaussian import CovarianceMatrix
+from .gaussian import CovarianceMatrix, _unit_scaled
 
 __all__ = [
     "StabilityReport",
@@ -118,7 +118,9 @@ def steady_stack(
     stable = _stable(eigenvalues)
 
     covariances, residuals = np.full((n, d, d), np.nan), np.full(n, np.nan)
-    g, lam = gammas[stable], diffusions[stable]
+    # Exact division by a power of two near max|Gamma|: tiny rates solve like scaled ones.
+    g, power = _unit_scaled(gammas[stable])
+    lam = diffusions[stable] / power[:, None, None]
     lower, index, operator = _vech_operator(d)
     system = (g.reshape(-1, d * d) @ operator).reshape(-1, lower.size, lower.size)
     rhs = -lam.reshape(-1, d * d)[:, lower, None]
@@ -126,8 +128,8 @@ def steady_stack(
         x = np.linalg.solve(system, rhs)
         # Refinement recovers the last bits (a vacuum diagonal comes out as exactly 1/2).
         x += np.linalg.solve(system, rhs - system @ x)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system solve failed: {exc}") from exc
+    except np.linalg.LinAlgError:  # a singular system: NaN gets the residual verdict
+        x = np.full(rhs.shape, np.nan)
     v = x[:, index, 0]
     covariances[stable] = v
     # Both norms scale by max|Lambda|, as squares of entries near the float range overflow.

@@ -339,11 +339,28 @@ class TestSweep:
 
         assert set(_AXIS_COLUMNS) == SWEEP_AXES
 
-    def test_threads_below_one_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, sweep_tree())
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
         out_dir = tmp_path / "o"
-        assert cli.main(["sweep", "--config", cfg, "--output", str(out_dir), "--threads", "0"]) == 2
-        assert "threads must be >= 1" in capsys.readouterr().err
+        argv = ["sweep", "--config", str(REPO_CONFIGS / "fig3a.yaml"), "--output", str(out_dir)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: output directory is not writable: {out_dir}" in captured.err
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
+    def test_axis_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 2**59 points of 8 bytes exceed any x86-64 address space, so the
+        # allocation fails before a page is touched.
+        text = (REPO_CONFIGS / "fig3a.yaml").read_text(encoding="utf-8")
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(text.replace("points: 101", f"points: {2**59}"), encoding="utf-8")
+        out_dir = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(cfg), "--output", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate 4.00 EiB")
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
@@ -543,7 +560,8 @@ class TestOverflowVerdicts:
 class TestThreads:
     @pytest.mark.parametrize(
         "command, config",
-        [("steady", "default.yaml"), ("wigner", "wigner.yaml"), ("validate", "validate.yaml")],
+        [("steady", "default.yaml"), ("sweep", "fig3a.yaml"), ("wigner", "wigner.yaml"),
+         ("validate", "validate.yaml")],
     )
     def test_below_one_exits_2_before_any_output(self, tmp_path, capsys, command, config):
         out_dir = tmp_path / "o"

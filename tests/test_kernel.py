@@ -3,6 +3,7 @@ and per-point failure isolation in sweeps."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from magsqueeze import (
 )
 from magsqueeze.analysis import CONTRASTS, _CHUNK
 from magsqueeze.config import load_config
-from magsqueeze.errors import OK, VERDICTS, verdict_error
+from magsqueeze.errors import OK, RESIDUAL, UNSTABLE, VERDICTS, verdict_error
 from magsqueeze.tableio import read_csv, sweep_table
 
 from conftest import KAPPA_A, TWO_PI, make_params, verdict
@@ -299,8 +300,15 @@ def command_point(config: str, *overrides: str) -> SystemParams:
     return load_config(REPO_CONFIGS / config, overrides).params
 
 
+# The nine rates of fig2.yaml; omega_a and omega_m enter only its zero-temperature occupations.
+FIG2_RATES = ("omega_b", "delta_a", "delta_m", "kappa_a", "kappa_m", "gamma_b", "g_a", "G_m",
+              "upsilon")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(drawn_point(), min_size=1, max_size=6))
+@example([command_point("fig2.yaml", *(f"{name}_over_2pi_hz=1.6e-309" for name in FIG2_RATES),
+                        "temperature_value=0"), command_point("fig2.yaml")])
 @example([command_point("default.yaml", "g_a_over_2pi_hz=1e200")])
 @example([command_point("default.yaml", "omega_b_over_2pi_hz=1e-300", "temperature_value=1e10")])
 @example([command_point("wigner.yaml", "temperature_value=1e300")])
@@ -324,3 +332,45 @@ def test_every_finite_point_gets_a_verdict(drawn):
                 assert type(exc) is type(verdict_error(alone.code[0]))
             else:
                 assert alone.code[0] == OK
+
+
+@pytest.mark.parametrize("k", [-1060, -1040, -1030, -1022, -600, 0, 600, 900])
+def test_scaling_every_rate_by_a_power_of_two_keeps_the_verdicts(k):
+    # At zero temperature the drift and the diffusion scale with the rates, and the steady
+    # covariance matrix does not. Below 2^-1030 the subnormal rates have lost bits.
+    rates = ("omega_a", "omega_m", *FIG2_RATES)
+    points = [make_params(temperature=0.0, upsilon=u * KAPPA_A, theta=t, g_a=g * KAPPA_A)
+              for u in np.linspace(0.0, 3.0, 10)
+              for t in np.linspace(0.0, TWO_PI, 10, endpoint=False) for g in (0.5, 1.6, 2.2)]
+    scaled = [replace(p, **{name: math.ldexp(getattr(p, name), k) for name in rates})
+              for p in points]
+    reference = evaluate(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluation = evaluate(scaled)
+    assert set(reference.code.tolist()) == {OK, UNSTABLE}
+    assert evaluation.code.tolist() == reference.code.tolist()
+    if k >= -1030:
+        assert evaluation.measures.tobytes() == reference.measures.tobytes()
+    else:
+        np.testing.assert_allclose(evaluation.measures, reference.measures, rtol=0.0, atol=1e-9)
+
+
+def test_a_failed_lyapunov_factorization_is_a_residual_verdict(monkeypatch):
+    # A singular system fails the whole batched solve: its stable points get the
+    # residual verdict with a NaN value, and the sweep records them as failed.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    upsilon = [0.5 * KAPPA_A, 1.3 * KAPPA_A, 4.5 * KAPPA_A]
+    points = [make_params(upsilon=u) for u in upsilon]
+    unstable = evaluate(points).code == UNSTABLE
+    assert unstable.tolist() == [False, False, True]
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    evaluation = evaluate(points)
+    assert evaluation.code.tolist() == [RESIDUAL, RESIDUAL, UNSTABLE]
+    assert np.isnan(evaluation.value[~unstable]).all()
+    assert np.isnan(evaluation.measures).all()
+    result = sweep(points[0], [("upsilon", upsilon)])
+    assert result.failed.tolist() == [True, True, False]
+    assert not result.stable.any()
