@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,15 +44,11 @@ def _base_metadata(config: RunConfig, command: str) -> list[tuple[str, str]]:
     return meta
 
 
-def _writable_dir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    if not os.access(path, os.W_OK):
-        raise ConfigError(f"output directory is not writable: {path}")
-    return path
-
-
 def _write(table: ResultTable, stem: Path, fmt: str, label: str = "wrote") -> None:
     """Write ``table`` to ``stem``.csv, and to ``stem``.json as well when ``fmt`` is json."""
+    # Made here, after the solve, so a failing command leaves no directory; one that
+    # cannot be made or written raises the system's OSError, which main reports.
+    stem.parent.mkdir(parents=True, exist_ok=True)
     for suffix, write in ((".csv", write_csv), (".json", write_json)):
         if suffix == ".csv" or fmt == "json":
             path = stem.with_name(stem.name + suffix)
@@ -99,20 +94,18 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
             print(f"validity: skipped ({exc})")
 
     if config.dump_covariance:
-        out = _writable_dir(out_dir)
         labels = ["x_a", "p_a", "x_m", "p_m", "q", "p"]
         table = ResultTable(
             columns=dict(zip(labels, evaluation.covariances[0].T.tolist())),
             metadata=_base_metadata(config, "steady"),
         )
-        _write(table, out / "covariance", fmt, "covariance written to")
+        _write(table, out_dir / "covariance", fmt, "covariance written to")
     return EXIT_OK
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
     if config.sweep is None:
         raise ConfigError("the sweep command needs a sweep section in the config")
-    out = _writable_dir(out_dir)
 
     spec = config.sweep
     result = sweep(
@@ -146,7 +139,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
         axis_columns=[(axis.column_name, axis.display_values) for axis in spec.axes],
         extra_metadata=metadata,
     )
-    _write(table, out / "sweep", fmt)
+    _write(table, out_dir / "sweep", fmt)
     return EXIT_OK
 
 
@@ -155,7 +148,6 @@ def _phase_tag(theta: float) -> str:
 
 
 def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
-    out = _writable_dir(out_dir)
     spec = config.wigner
     # Every phase is solved before any file is written, so a failing phase leaves none.
     evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
@@ -174,7 +166,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
         metadata.append(("normalization_integral", repr(norm)))
         columns = {"x": points[:, 0].tolist(), "y": points[:, 1].tolist(), "W": w.tolist()}
         table = ResultTable(columns=columns, metadata=metadata)
-        _write(table, out / f"wigner_theta_{_phase_tag(theta)}pi", fmt)
+        _write(table, out_dir / f"wigner_theta_{_phase_tag(theta)}pi", fmt)
     return EXIT_OK
 
 

@@ -236,14 +236,12 @@ def _magnon_block(c: Columns, delta_bar: NDArray) -> list[list[NDArray]]:
             [-(delta_bar - split_delta), -(c["kappa_m"] - split_kappa)]]
 
 
-def _amplitude_system(c: Columns, idx: NDArray[np.intp]) -> NDArray[np.float64]:
+def _amplitude_system(c: Columns) -> NDArray[np.float64]:
     """Rows m00, m11, upsilon*sin(theta), load*delta_a and rabi: the detuning-free parts of
-    the mean-field system of the points ``idx``.  The mean-field equations are the drift's
+    the mean-field system of every point of ``c``.  The mean-field equations are the drift's
     cavity-magnon block G with the drive f = (0, 0, sqrt(2) rabi, 0): G x = -f.  Eliminating
     the cavity leaves M (x_m, p_m) = -(sqrt(2) rabi, 0), with J = [[0, 1], [-1, 0]], the magnon
     block D, M = D - load (kappa_a I + delta_a J) and load = g_a^2 / (kappa_a^2 + delta_a^2)."""
-    c = {name: c[name][idx] for name in
-         ("kappa_a", "delta_a", "g_a", "kappa_m", "upsilon", "theta", "rabi")}
     # -0.0 + x is x exactly, so the block at detuning -0.0 holds upsilon*sin(theta).
     (m00, split_delta), (_, m11) = _magnon_block(c, -0.0)
     load = c["g_a"] ** 2 / (c["kappa_a"] ** 2 + c["delta_a"] ** 2)
@@ -309,22 +307,22 @@ def _self_consistent_shift(
 ) -> None:
     """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
 
-    ``system`` is their ``_amplitude_system``.  Writes the solutions into ``delta_bar`` (bare
+    ``system`` is ``_amplitude_system(c)``.  Writes the solutions into ``delta_bar`` (bare
     detunings on entry) and ``m_s``, and the verdict codes of the points without one into ``code``.
     Direct detunings, or a direct G_m, take no backaction: such a point converges at its first
     iterate, the amplitude at the bare detuning.
     """
     shift = np.isnan(c["G_m"]) & ~np.isnan(c["omega_0"])
 
-    def shifted(x: NDArray, sel: NDArray, system: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        m, pole = _amplitude(system, x)
+    def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        m, pole = _amplitude(system[:, sel], x)
         backaction = c["g_m"][sel] ** 2 * np.abs(m) ** 2 / c["omega_b"][sel]
         return c["delta_m"][sel] - np.where(shift[sel], backaction, 0.0), m, pole
 
-    def residual(x: NDArray, sel: NDArray, system: NDArray) -> NDArray:
+    def residual(x: NDArray, sel: NDArray) -> NDArray:
         # det M is real, so |m_s|^2 -> +inf on both sides of the pole: a
         # trial there counts as a positive residual.
-        updated, _, pole = shifted(x, sel, system)
+        updated, _, pole = shifted(x, sel)
         return np.where(pole, np.inf, x - updated)
 
     # Delta_m_bar = Delta_m + g_m * q_s depends on m_s, which depends back
@@ -333,39 +331,38 @@ def _self_consistent_shift(
     # and that point goes on to the bracket search below.
     on_pole = []
     for _ in range(_SHIFT_MAX_ITER):
-        updated, m_s[idx], pole = shifted(delta_bar[idx], idx, system)
+        updated, m_s[idx], pole = shifted(delta_bar[idx], idx)
         on_pole.append(idx[pole])
         done = np.abs(updated - delta_bar[idx]) <= _SHIFT_RTOL * np.maximum(1.0, np.abs(updated))
         delta_bar[idx] = updated
-        idx, system = idx[~(pole | done)], system[:, ~(pole | done)]
+        idx = idx[~(pole | done)]
         if idx.size == 0:
             break
     code[on_pole[0]] = RESONANCE
     idx = np.concatenate([idx, *on_pole[1:]])
-    system = _amplitude_system(c, idx)
 
     # Plain iteration cycles once the backaction shift exceeds the magnon
     # linewidth. The residual is positive at the bare detuning and negative
     # far below it, so bracket downward and return Brent's root in that
     # bracket, one of possibly several coexisting branches.
     hi = c["delta_m"][idx]
-    f_hi = residual(hi, idx, system)
+    f_hi = residual(hi, idx)
     step = np.maximum(np.abs(f_hi), c["kappa_m"][idx])
     for _ in range(_SHIFT_MAX_ITER):
         lo = hi - step
-        f_lo = residual(lo, idx, system)
+        f_lo = residual(lo, idx)
         if np.all(f_lo < 0.0):
             break
         step = np.where(f_lo < 0.0, step, 2.0 * step)
     found = f_lo < 0.0
     code[idx[~found]] = NO_FIXED_POINT
-    idx, system, lo, hi, f_lo, f_hi = (a[..., found] for a in (idx, system, lo, hi, f_lo, f_hi))
+    idx, lo, hi, f_lo, f_hi = (a[found] for a in (idx, lo, hi, f_lo, f_hi))
     xtol = 1e-12 * np.maximum(1.0, np.abs(hi))
-    root = _brentq(lambda x: residual(x, idx, system), lo, hi, f_lo, f_hi, xtol)
+    root = _brentq(lambda x: residual(x, idx), lo, hi, f_lo, f_hi, xtol)
     found = ~np.isnan(root)
     code[idx[~found]] = NO_FIXED_POINT
-    idx, system, root = idx[found], system[:, found], root[found]
-    delta_bar[idx], m_s[idx], pole = shifted(root, idx, system)
+    idx, root = idx[found], root[found]
+    delta_bar[idx], m_s[idx], pole = shifted(root, idx)
     code[idx[pole]] = RESONANCE
 
 
@@ -392,16 +389,16 @@ def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
     the verdict code of the ``ParametricResonanceError`` ``build_drift`` raises for it.
     """
     c = points if isinstance(points, dict) else gather(points)
-    driven = np.flatnonzero(~np.isnan(c["rabi"]))
+    driven = ~np.isnan(c["rabi"])
     delta_bar = c["delta_m"].copy()
     m_s = np.full(delta_bar.size, np.nan, dtype=complex)
     code = np.zeros(delta_bar.size, dtype=np.int8)
     # A point whose amplitude system overflows gets the non_finite verdict.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        system = _amplitude_system(c, driven)
+        system = _amplitude_system(c)
         finite = np.isfinite(system).all(axis=0)
-        code[driven[~finite]] = NON_FINITE
-        _self_consistent_shift(c, driven[finite], system[:, finite], delta_bar, m_s, code)
+        code[driven & ~finite] = NON_FINITE
+        _self_consistent_shift(c, np.flatnonzero(driven & finite), system, delta_bar, m_s, code)
     return DerivedColumns(delta_bar, m_s, code)
 
 

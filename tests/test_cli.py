@@ -329,6 +329,32 @@ class TestSweep:
         tree["sweep"]["axes"][0]["name"] = "kappa_a"
         cfg = write_config(tmp_path, tree)
         assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ("[{name: theta, start: 0, stop: 1, points: 3}]",
+             "a theta axis cannot be combined with a phase pairing"),
+            ("[{name: upsilon, start: 0, stop: 1, points: 3},"
+             " {name: upsilon, start: 0, stop: 2, points: 3}]",
+             "duplicate axis names: ['upsilon', 'upsilon']"),
+        ],
+        ids=["theta_with_pairing", "duplicate_names"],
+    )
+    def test_axes_the_sweep_rejects_exit_2_and_make_no_directory(
+        self, tmp_path, capsys, axes, message
+    ):
+        # fig3a pairs two phases. Its config accepts both axes lists, and
+        # analysis.sweep rejects them.
+        out_dir = tmp_path / "o"
+        argv = ["sweep", "--config", str(REPO_CONFIGS / "fig3a.yaml"), "--output", str(out_dir),
+                "--set", f"sweep.axes={axes}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_config_axes_are_the_library_axes(self):
         # The config builds its scale and column per axis from the library's
@@ -340,14 +366,29 @@ class TestSweep:
         assert set(_AXIS_COLUMNS) == SWEEP_AXES
 
     def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        # The write's own error is the writability check: a permission bit is no
+        # test here, since root may write through a read-only mode.
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "write_text", denied)
         out_dir = tmp_path / "o"
         argv = ["sweep", "--config", str(REPO_CONFIGS / "fig3a.yaml"), "--output", str(out_dir)]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert f"error: output directory is not writable: {out_dir}" in captured.err
+        assert captured.err == f"error: [Errno 13] Permission denied: '{out_dir / 'sweep.csv'}'\n"
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
+
+    def test_output_naming_a_file_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "o"
+        out_file.write_text("kept\n", encoding="utf-8")
+        argv = ["sweep", "--config", str(REPO_CONFIGS / "fig3a.yaml"), "--output", str(out_file)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 17] File exists: '{out_file}'\n"
+        assert captured.out == ""
+        assert out_file.read_text(encoding="utf-8") == "kept\n"
 
     def test_axis_too_large_to_allocate_exits_2(self, tmp_path, capsys):
         # 2**59 points of 8 bytes exceed any x86-64 address space, so the
@@ -398,15 +439,19 @@ class TestWigner:
         ],
     )
     def test_failing_phase_writes_no_file(self, tmp_path, capsys, phases, upsilon, code, message):
-        # The first phase solves; the second is NaN or has no steady state.
+        # The first phase solves; the second is NaN or has no steady state. An
+        # existing output directory gets no file, and an absent one is not made.
         cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
+        existing, absent = tmp_path / "out", tmp_path / "absent"
+        existing.mkdir()
         overrides = ["--set", f"wigner.phases_rad=[{', '.join(map(str, phases))}]",
                      "--set", f"upsilon_over_2pi_hz={upsilon}"]
-        assert cli.main(["wigner", "--config", cfg, "--output", str(out_dir), *overrides]) == code
-        assert message in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        for out_dir in (existing, absent):
+            argv = ["wigner", "--config", cfg, "--output", str(out_dir), *overrides]
+            assert cli.main(argv) == code
+            assert message in capsys.readouterr().err
+        assert list(existing.iterdir()) == []
+        assert not absent.exists()
 
     def test_rejects_empty_phase_list(self, tmp_path, capsys):
         tree = {"parameters": dict(BASE_PARAMETERS), "wigner": {"phases_rad": []}}
