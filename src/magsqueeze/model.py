@@ -402,12 +402,12 @@ def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
     return DerivedColumns(delta_bar, m_s, code)
 
 
+@np.errstate(over="ignore")  # an overflowing coupling gets the non_finite verdict downstream
 def drift_stack(c: Columns, derived: DerivedColumns) -> NDArray[np.float64]:
     """Drift matrices of the linearized quadrature dynamics, one (6, 6) per point.
 
-    Row/column order ``(x_a, p_a, x_m, p_m, q, p)``.  The squeezing drive
-    enters the magnon block only (see ``_magnon_block``).  ``derived`` is
-    ``derive_many(c)``; the matrix of a point it failed is not meaningful.
+    Row/column order ``(x_a, p_a, x_m, p_m, q, p)``; the squeezing drive enters ``_magnon_block``
+    only.  ``derived`` is ``derive_many(c)``; the matrix of a point it failed is not meaningful.
     """
     # Real drift entry at m_s = -i|m_s|, the direct-G_m convention of Li, Zhu & Agarwal (PRL 121,
     # 203601). A driven point's arg(m_s) is dropped: with squeezing, no frame rotation absorbs it.

@@ -4,18 +4,29 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import io
 import json
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsqueeze import cli
+from magsqueeze.config import _AXIS_COLUMNS
 from magsqueeze.tableio import read_csv
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -113,14 +124,6 @@ class TestSteady:
         values = measure_lines(capsys.readouterr().out)
         assert all(v == 0.0 for v in values.values())
 
-    def test_unstable_point_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        code = cli.main(["steady", "--config", cfg, "--set", "upsilon_over_2pi_hz=6.0e6"])
-        assert code == 3
-        assert capsys.readouterr().err.startswith(
-            "error: drift matrix is not stable (max eigenvalue real part "
-        )
-
     def test_unstable_point_reads_the_same_in_steady_and_wigner(self, tmp_path, capsys):
         # default.yaml's phase, as the one wigner phase: both commands solve the same point.
         argv = ["--config", str(REPO_CONFIGS / "default.yaml"), "--output", str(tmp_path),
@@ -129,22 +132,6 @@ class TestSteady:
         steady_err = capsys.readouterr().err
         assert cli.main(["wigner", *argv, "--set", "wigner.phases_rad=[4.71238898038469]"]) == 3
         assert capsys.readouterr().err == steady_err
-
-    @pytest.mark.parametrize("drive", [{"rabi_rad_per_s": 1.48e15}, {}])
-    def test_zero_sphere_diameter_exits_2(self, tmp_path, capsys, drive):
-        params = dict(BASE_PARAMETERS, h_d_tesla=2.87e-5, **drive)
-        cfg = write_config(tmp_path, {"parameters": params, "validate": {"kerr_over_2pi_hz": 6.4e-9}})
-        assert cli.main(["steady", "--config", cfg, "--set", "sphere_diameter_m=0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: invalid parameters: sphere_diameter must be positive\n"
-
-    def test_zero_cavity_frequency_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS, omega_a_over_2pi_hz=0)})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: invalid parameters: omega_a must be positive\n"
 
     def test_validity_without_a_drive_is_skipped(self, capsys):
         # fig3a sets G_m directly and has no drive, so a Kerr coefficient has nothing to check.
@@ -166,91 +153,6 @@ class TestSteady:
         assert "low-excitation FAIL)\n" in captured.out
         assert "validity: Kerr/drive ratio = inf (threshold 0.5, FAIL)\n" in captured.out
 
-    def test_missing_key_is_named(self, tmp_path, capsys):
-        params = dict(BASE_PARAMETERS)
-        del params["upsilon_over_2pi_hz"]
-        cfg = write_config(tmp_path, {"parameters": params})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        assert "upsilon_over_2pi_hz" in capsys.readouterr().err
-
-    def test_unknown_parameter_key_rejected(self, tmp_path, capsys):
-        params = dict(BASE_PARAMETERS, coupling_hz=1.0)
-        cfg = write_config(tmp_path, {"parameters": params})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        assert "coupling_hz" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "key", ["spin_density_per_m3", "spin_s", "gyromagnetic_rad_per_s_per_t"]
-    )
-    def test_fixed_yig_constants_are_unknown_keys(self, tmp_path, capsys, key):
-        # The spin density, spin number and gyromagnetic ratio are YIG constants.
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS, **{key: 1.0})})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        assert f"unknown parameter keys: ['{key}']" in capsys.readouterr().err
-
-    def test_missing_keys_message(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": {"G_m_over_2pi_hz": 4.8e6}})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        assert capsys.readouterr().err == (
-            "error: missing required parameter keys: ['omega_a_over_2pi_hz',"
-            " 'omega_m_over_2pi_hz', 'omega_b_over_2pi_hz', 'kappa_a_over_2pi_hz',"
-            " 'kappa_m_over_2pi_hz', 'gamma_b_over_2pi_hz', 'g_a_over_2pi_hz',"
-            " 'upsilon_over_2pi_hz', 'theta_rad', 'temperature_value', 'temperature_unit']\n"
-        )
-
-    @pytest.mark.parametrize("unit", ["C", ["mK"]])
-    def test_temperature_units_named(self, tmp_path, capsys, unit):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS, temperature_unit=unit)})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        assert f"temperature_unit must be 'mK' or 'K', got {unit!r}" in capsys.readouterr().err
-        axis = {"name": "temperature", "start": 1.0, "stop": 2.0, "points": 2, "unit": unit}
-        cfg = write_config(tmp_path, dict(sweep_tree(), sweep={"axes": [axis]}))
-        assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"temperature axis unit must be 'mK' or 'K', got {unit!r}" in err
-
-    def test_unknown_section_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS), "plotting": {}})
-        assert cli.main(["steady", "--config", cfg]) == 2
-        assert "plotting" in capsys.readouterr().err
-
-    def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert cli.main(["steady", "--config", str(tmp_path / "nope.yaml")]) == 2
-
-    def test_malformed_override_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        assert cli.main(["steady", "--config", cfg, "--set", "upsilon"]) == 2
-
-    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
-    def test_nonfinite_parameter_exits_2(self, tmp_path, capsys, value):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        code = cli.main(["steady", "--config", cfg, "--set", f"upsilon_over_2pi_hz={value}"])
-        assert code == 2
-        assert "upsilon must be finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
-@pytest.mark.parametrize(
-    "command, key", [("wigner", "wigner.extent_sigmas"), ("validate", "validate.kerr_over_2pi_hz")]
-)
-def test_nonfinite_section_value_exits_2(tmp_path, capsys, command, key, value):
-    cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-    out_dir = tmp_path / "out"
-    code = cli.main([command, "--config", cfg, "--output", str(out_dir), "--set", f"{key}={value}"])
-    assert code == 2
-    assert "finite" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command, config", [("steady", "default.yaml"), ("validate", "validate.yaml")])
-def test_sphere_without_a_finite_spin_count_exits_2(tmp_path, capsys, command, config):
-    argv = [command, "--config", str(REPO_CONFIGS / config), "--output", str(tmp_path)]
-    assert cli.main([*argv, "--set", "sphere_diameter_m=1e120"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: invalid parameters: sphere_diameter must give a finite spin count\n"
-    )
 
 
 def sweep_tree() -> dict:
@@ -324,44 +226,11 @@ class TestSweep:
         assert "pairing" in keys
         assert "ideal_zone C_E_am" in keys
 
-    def test_unknown_axis_exits_2(self, tmp_path, capsys):
-        tree = sweep_tree()
-        tree["sweep"]["axes"][0]["name"] = "kappa_a"
-        cfg = write_config(tmp_path, tree)
-        assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "axes, message",
-        [
-            ("[{name: theta, start: 0, stop: 1, points: 3}]",
-             "a theta axis cannot be combined with a phase pairing"),
-            ("[{name: upsilon, start: 0, stop: 1, points: 3},"
-             " {name: upsilon, start: 0, stop: 2, points: 3}]",
-             "duplicate axis names: ['upsilon', 'upsilon']"),
-        ],
-        ids=["theta_with_pairing", "duplicate_names"],
-    )
-    def test_axes_the_sweep_rejects_exit_2_and_make_no_directory(
-        self, tmp_path, capsys, axes, message
-    ):
-        # fig3a pairs two phases. Its config accepts both axes lists, and
-        # analysis.sweep rejects them.
-        out_dir = tmp_path / "o"
-        argv = ["sweep", "--config", str(REPO_CONFIGS / "fig3a.yaml"), "--output", str(out_dir),
-                "--set", f"sweep.axes={axes}"]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-        assert not out_dir.exists()
-
     def test_config_axes_are_the_library_axes(self):
         # The config builds its scale and column per axis from the library's
         # axis names and its parameter keys; every library axis must be
         # reachable from a config file, and the config must offer no other.
         from magsqueeze.analysis import SWEEP_AXES
-        from magsqueeze.config import _AXIS_COLUMNS
 
         assert set(_AXIS_COLUMNS) == SWEEP_AXES
 
@@ -390,23 +259,6 @@ class TestSweep:
         assert captured.out == ""
         assert out_file.read_text(encoding="utf-8") == "kept\n"
 
-    def test_axis_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # 2**59 points of 8 bytes exceed any x86-64 address space, so the
-        # allocation fails before a page is touched.
-        text = (REPO_CONFIGS / "fig3a.yaml").read_text(encoding="utf-8")
-        cfg = tmp_path / "huge.yaml"
-        cfg.write_text(text.replace("points: 101", f"points: {2**59}"), encoding="utf-8")
-        out_dir = tmp_path / "o"
-        assert cli.main(["sweep", "--config", str(cfg), "--output", str(out_dir)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: Unable to allocate 4.00 EiB")
-        assert captured.out == ""
-        assert not out_dir.exists()
-
-    def test_requires_sweep_section(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        assert cli.main(["sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
-        assert "sweep section" in capsys.readouterr().err
 
 
 class TestWigner:
@@ -453,10 +305,6 @@ class TestWigner:
         assert list(existing.iterdir()) == []
         assert not absent.exists()
 
-    def test_rejects_empty_phase_list(self, tmp_path, capsys):
-        tree = {"parameters": dict(BASE_PARAMETERS), "wigner": {"phases_rad": []}}
-        cfg = write_config(tmp_path, tree)
-        assert cli.main(["wigner", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
 
 class TestValidate:
@@ -491,26 +339,6 @@ class TestValidate:
         assert "low-excitation FAIL)\n" in captured.out
         assert "validity: Kerr/drive ratio = inf (threshold 0.5, FAIL)\n" in captured.out
         assert captured.out.endswith("overall: FAIL\n")
-
-    def test_missing_kerr_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        assert cli.main(["validate", "--config", cfg]) == 2
-        assert "kerr_over_2pi_hz" in capsys.readouterr().err
-
-    def test_kerr_via_override(self, tmp_path, capsys):
-        params = dict(BASE_PARAMETERS, theta_rad=1.5707963267948966, rabi_rad_per_s=1.48e15,
-                      sphere_diameter_m=250.0e-6)
-        cfg = write_config(tmp_path, {"parameters": params})
-        code = cli.main(
-            ["validate", "--config", cfg, "--set", "validate.kerr_over_2pi_hz=6.4e-9"]
-        )
-        assert code == 0
-
-    def test_missing_drive_exits_2(self, tmp_path, capsys):
-        tree = {"parameters": dict(BASE_PARAMETERS), "validate": {"kerr_over_2pi_hz": 6.4e-9}}
-        cfg = write_config(tmp_path, tree)
-        assert cli.main(["validate", "--config", cfg]) == 2
-        assert "drive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kerr, code, verdict", [(6.4e-9, 0, "PASS"), (6.4e-8, 1, "FAIL")])
     def test_zero_field_prints_no_ratio(self, kerr, code, verdict):
@@ -569,27 +397,6 @@ class TestOverflowVerdicts:
     """Inputs whose derived quantities leave the float range get a verdict and its exit code,
     with no numpy warning."""
 
-    NON_FINITE = "error: gamma and diffusion must have finite entries\n"
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("overrides", [
-        ["g_a_over_2pi_hz=1e200"],  # g_a^2 overflows in the amplitude's mean-field system
-        ["omega_b_over_2pi_hz=1e-300", "temperature_value=1e10"],  # n_b overflows
-        ["temperature_value=1e306"],  # kappa (2 n + 1) overflows in the diffusion
-    ])
-    def test_steady_reports_non_finite(self, tmp_path, capsys, overrides):
-        argv = ["steady", "--config", str(REPO_CONFIGS / "default.yaml"), "--output", str(tmp_path)]
-        code = cli.main(argv + [arg for item in overrides for arg in ("--set", item)])
-        assert (code, capsys.readouterr()) == (2, ("", self.NON_FINITE))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("override", ["g_a_over_2pi_hz=1e200", "temperature_value=1e308"])
-    def test_validate_reports_non_finite(self, capsys, override):
-        # The validity report takes no point without a finite drift and diffusion.
-        code = cli.main(["validate", "--config", str(REPO_CONFIGS / "validate.yaml"),
-                         "--set", override])
-        assert (code, capsys.readouterr()) == (2, ("", self.NON_FINITE))
-
     @pytest.mark.filterwarnings("error")
     def test_wigner_of_a_hot_bath(self, tmp_path, capsys):
         # Squares of the covariance entries and the det of the magnon block overflow.
@@ -600,22 +407,6 @@ class TestOverflowVerdicts:
             table = read_csv(path)
             assert np.isfinite(table.columns["W"]).all() and max(table.columns["W"]) > 0.0
             assert float(dict(table.metadata)["normalization_integral"]) == pytest.approx(1.0, abs=1e-6)
-
-
-class TestThreads:
-    @pytest.mark.parametrize(
-        "command, config",
-        [("steady", "default.yaml"), ("sweep", "fig3a.yaml"), ("wigner", "wigner.yaml"),
-         ("validate", "validate.yaml")],
-    )
-    def test_below_one_exits_2_before_any_output(self, tmp_path, capsys, command, config):
-        out_dir = tmp_path / "o"
-        argv = [command, "--config", str(REPO_CONFIGS / config), "--output", str(out_dir)]
-        assert cli.main(argv + ["--threads", "0"]) == 2
-        captured = capsys.readouterr()
-        assert "threads must be >= 1, got 0" in captured.err
-        assert captured.out == ""
-        assert not out_dir.exists()
 
 
 class TestRepoConfigs:
@@ -668,16 +459,6 @@ class TestYamlLoader:
             assert fast == yaml.load(text, Loader=yaml.SafeLoader), name
             assert fast["parameters"], name
 
-    def test_malformed_file_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.yaml"
-        path.write_text("parameters: {omega_a_over_2pi_hz: [10.0e9\n", encoding="utf-8")
-        assert cli.main(["steady", "--config", str(path)]) == 2
-        assert "cannot parse" in capsys.readouterr().err
-
-    def test_malformed_override_value_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"parameters": dict(BASE_PARAMETERS)})
-        assert cli.main(["steady", "--config", cfg, "--set", "upsilon_over_2pi_hz=[1, 2"]) == 2
-        assert "cannot parse override value" in capsys.readouterr().err
 
 
 class TestProcessEntry:
@@ -732,3 +513,287 @@ def test_package_exports_each_modules_public_names():
     expected = ["__version__", *(name for module in modules for name in module.__all__)]
     assert magsqueeze.__all__ == expected
     assert len(set(expected)) == len(expected)
+
+
+# Exit contracts. run_cli checks what every exit keeps; each Exit row adds its code and message.
+
+
+def run_cli(tmp_path: Path, command: str, config: str | dict, args: str = "") -> tuple[int, str]:
+    """Run ``magsqueeze <command> --config <config> --output <tmp_path>/<command> <args>``
+    in-process with warnings raised as errors, and return its exit code and stderr.
+
+    ``config`` names a file in configs/, or is a tree or YAML text. Every exit is 0-4; exits 0
+    and 1 print nothing on stderr, exits 2-4 one ``error:`` line (a YAML parse error continues
+    it on lines of its own) and nothing on stdout, and a non-zero exit makes no output directory.
+    """
+    if isinstance(config, str) and config.endswith(".yaml"):
+        path = REPO_CONFIGS / config
+    else:
+        path = tmp_path / "run.yaml"
+        text = config if isinstance(config, str) else yaml.safe_dump(config)
+        path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / command
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", str(path), "--output", str(out_dir),
+                         *shlex.split(args)])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in range(5), (code, err)
+    if code < 2:
+        assert err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and "\nerror:" not in err, (out, err)
+    assert code == 0 or not out_dir.exists()
+    return code, err
+
+
+class Exit(NamedTuple):
+    """``run_cli(command, config, args)`` exits ``code``, and for 2-4 prints ``error: <message>``;
+    a ``message`` ending in "..." states only the start of the line."""
+
+    test: str  # the id it runs under: [class::]function[[parameter id]]
+    command: str
+    config: str | dict
+    args: str
+    code: int
+    message: str = ""
+
+
+def check_exit(row: Exit, tmp_path: Path) -> None:
+    code, err = run_cli(tmp_path, row.command, row.config, row.args)
+    message = err[len("error: "):-1]
+    if row.message.endswith("..."):
+        message = message[:len(row.message) - 3] + "..."
+    assert (code, message) == (row.code, row.message)
+
+
+def base(**changes) -> dict:
+    """A tree of BASE_PARAMETERS updated by ``changes``; a change to None deletes its key."""
+    params = {k: v for k, v in {**BASE_PARAMETERS, **changes}.items() if v is not None}
+    return {"parameters": params}
+
+
+def edited(config: str, old: str, new: str) -> str:
+    """The text of configs/``config`` with ``old`` replaced by ``new``."""
+    text = (REPO_CONFIGS / config).read_text(encoding="utf-8")
+    assert old in text
+    return text.replace(old, new)
+
+
+KERR = {"validate": {"kerr_over_2pi_hz": 6.4e-9}}
+UNSTABLE = "drift matrix is not stable (max eigenvalue real part ..."
+NON_FINITE = "gamma and diffusion must have finite entries"
+TINY_RATES = " ".join(f"--set {rate}_over_2pi_hz=1.6e-309" for rate in (
+    "omega_b", "delta_a", "delta_m", "kappa_a", "kappa_m", "gamma_b", "g_a", "G_m", "upsilon"))
+TEMPERATURE_AXIS = {"name": "temperature", "start": 1.0, "stop": 2.0, "points": 2}
+
+EXITS = [
+    Exit("TestSteady::test_unstable_point_exits_3", "steady", base(),
+         "--set upsilon_over_2pi_hz=6.0e6", 3, UNSTABLE),
+    *(Exit(f"TestSteady::test_zero_sphere_diameter_exits_2[drive{k}]", "steady",
+           {**base(h_d_tesla=2.87e-5, **drive), **KERR}, "--set sphere_diameter_m=0", 2,
+           "invalid parameters: sphere_diameter must be positive")
+      for k, drive in enumerate([{"rabi_rad_per_s": 1.48e15}, {}])),
+    Exit("TestSteady::test_zero_cavity_frequency_exits_2", "steady", base(omega_a_over_2pi_hz=0),
+         "", 2, "invalid parameters: omega_a must be positive"),
+    Exit("TestSteady::test_integer_past_the_float_range_exits_2", "steady", "default.yaml",
+         f"--set omega_a_over_2pi_hz=1{'0' * 400}", 2,
+         "invalid parameters: omega_a must be finite"),
+    *(Exit(f"TestSteady::test_nonfinite_parameter_exits_2[{value}]", "steady", base(),
+           f"--set upsilon_over_2pi_hz={value}", 2, "invalid parameters: upsilon must be finite")
+      for value in [".nan", ".inf", "-.inf"]),
+    Exit("TestSteady::test_missing_key_is_named", "steady", base(upsilon_over_2pi_hz=None), "", 2,
+         "missing required parameter keys: ['upsilon_over_2pi_hz']"),
+    Exit("TestSteady::test_missing_keys_message", "steady",
+         {"parameters": {"G_m_over_2pi_hz": 4.8e6}}, "", 2,
+         "missing required parameter keys: ['omega_a_over_2pi_hz', 'omega_m_over_2pi_hz',"
+         " 'omega_b_over_2pi_hz', 'kappa_a_over_2pi_hz', 'kappa_m_over_2pi_hz',"
+         " 'gamma_b_over_2pi_hz', 'g_a_over_2pi_hz', 'upsilon_over_2pi_hz', 'theta_rad',"
+         " 'temperature_value', 'temperature_unit']"),
+    Exit("TestYamlLoader::test_null_parameters_section_exits_2", "steady", "parameters:\n",
+         "--set upsilon_over_2pi_hz=1", 2,
+         "missing required parameter keys: ['omega_a_over_2pi_hz', ..."),
+    Exit("TestSteady::test_unknown_parameter_key_rejected", "steady", base(coupling_hz=1.0), "", 2,
+         "unknown parameter keys: ['coupling_hz']"),
+    # The spin density, spin number and gyromagnetic ratio are YIG constants.
+    *(Exit(f"TestSteady::test_fixed_yig_constants_are_unknown_keys[{key}]", "steady",
+           base(**{key: 1.0}), "", 2, f"unknown parameter keys: ['{key}']")
+      for key in ["spin_density_per_m3", "spin_s", "gyromagnetic_rad_per_s_per_t"]),
+    *(Exit(f"TestSteady::test_temperature_units_named[{key}]", "steady",
+           base(temperature_unit=unit), "", 2,
+           f"temperature_unit must be 'mK' or 'K', got {unit!r}")
+      for key, unit in [("C", "C"), ("unit1", ["mK"])]),
+    *(Exit(f"TestSweep::test_temperature_axis_units_named[{key}]", "sweep",
+           {**base(), "sweep": {"axes": [dict(TEMPERATURE_AXIS, unit=unit)]}}, "", 2,
+           f"temperature axis unit must be 'mK' or 'K', got {unit!r}")
+      for key, unit in [("C", "C"), ("unit1", ["mK"])]),
+    Exit("TestSteady::test_unknown_section_rejected", "steady", {**base(), "plotting": {}}, "", 2,
+         "unknown config sections: ['plotting']"),
+    Exit("TestSteady::test_missing_file_exits_2", "steady", "nope.yaml", "", 2,
+         f"config file not found: {REPO_CONFIGS / 'nope.yaml'}"),
+    Exit("TestSteady::test_malformed_override_exits_2", "steady", base(), "--set upsilon", 2,
+         "override 'upsilon' is not of the form key=value"),
+    Exit("TestYamlLoader::test_malformed_file_exits_2", "steady",
+         "parameters: {omega_a_over_2pi_hz: [10.0e9\n", "", 2, "cannot parse ..."),
+    Exit("TestYamlLoader::test_malformed_override_value_exits_2", "steady", base(),
+         "--set 'upsilon_over_2pi_hz=[1, 2'", 2, "cannot parse override value '[1, 2': ..."),
+    *(Exit(f"test_nonfinite_section_value_exits_2[{command}-{key}-{value}]", command, base(),
+           f"--set {key}={value}", 2, message)
+      for command, key, message in [
+          ("wigner", "wigner.extent_sigmas", "wigner.extent_sigmas must be positive and finite"),
+          ("validate", "validate.kerr_over_2pi_hz",
+           "kerr_over_2pi_hz must be non-negative and finite")]
+      for value in [".nan", ".inf", "-.inf"]),
+    *(Exit(f"test_sphere_without_a_finite_spin_count_exits_2[{command}-{config}]", command, config,
+           "--set sphere_diameter_m=1e120", 2,
+           "invalid parameters: sphere_diameter must give a finite spin count")
+      for command, config in [("steady", "default.yaml"), ("validate", "validate.yaml")]),
+    Exit("TestSweep::test_requires_sweep_section", "sweep", base(), "", 2,
+         "the sweep command needs a sweep section in the config"),
+    Exit("TestSweep::test_unknown_axis_exits_2", "sweep",
+         {**base(), "sweep": {"axes": [dict(TEMPERATURE_AXIS, name="kappa_a")]}}, "", 2,
+         "unknown sweep axis 'kappa_a'; valid axes: ..."),
+    # fig3a pairs two phases. Its config accepts both axes lists, and analysis.sweep rejects them.
+    *(Exit(f"TestSweep::test_axes_the_sweep_rejects_exit_2_and_make_no_directory[{key}]", "sweep",
+           "fig3a.yaml", f"--set 'sweep.axes={axes}'", 2, message)
+      for key, axes, message in [
+          ("theta_with_pairing", "[{name: theta, start: 0, stop: 1, points: 3}]",
+           "a theta axis cannot be combined with a phase pairing"),
+          ("duplicate_names", "[{name: upsilon, start: 0, stop: 1, points: 3},"
+           " {name: upsilon, start: 0, stop: 2, points: 3}]",
+           "duplicate axis names: ['upsilon', 'upsilon']")]),
+    *(Exit(f"TestSweep::test_axis_ends_past_the_float_range_exit_2[{key}]", "sweep",
+           edited("fig3a.yaml", "start: 0.0, stop: 6.0e6", ends), "", 2,
+           "sweep.axes[0].start must be finite in SI units")
+      for key, ends in [
+          ("inf_start", "start: .inf, stop: 6.0e6"),
+          ("start_past_si", "start: 1.0e308, stop: 6.0e6"),
+          ("ends_past_si", "start: -1.0e308, stop: 1.0e308")]),
+    # 2**59 points of 8 bytes exceed any x86-64 address space, so the allocation fails
+    # before a page is touched.
+    Exit("TestSweep::test_axis_too_large_to_allocate_exits_2", "sweep",
+         edited("fig3a.yaml", "points: 101", f"points: {2**59}"), "", 2,
+         "Unable to allocate 4.00 EiB..."),
+    Exit("TestWigner::test_rejects_empty_phase_list", "wigner",
+         {**base(), "wigner": {"phases_rad": []}}, "", 2, "wigner.phases_rad must not be empty"),
+    Exit("TestWigner::test_points_past_the_index_range_exit_2", "wigner", "wigner.yaml",
+         "--set wigner.points_per_axis=9223372036854775808", 2,
+         "wigner.points_per_axis must be at most 9223372036854775807"),
+    Exit("TestWigner::test_unstable_point_exits_3", "wigner", "wigner.yaml",
+         "--set upsilon_over_2pi_hz=1e9", 3, UNSTABLE),
+    Exit("TestValidate::test_missing_kerr_exits_2", "validate", base(), "", 2,
+         "the validate command needs validate.kerr_over_2pi_hz in the config"),
+    Exit("TestValidate::test_missing_drive_exits_2", "validate", {**base(), **KERR}, "", 2,
+         "validity checks need a drive: set rabi, or h_d with sphere_diameter"),
+    Exit("TestValidate::test_kerr_via_override", "validate",
+         base(theta_rad=1.5707963267948966, rabi_rad_per_s=1.48e15, sphere_diameter_m=250.0e-6),
+         "--set validate.kerr_over_2pi_hz=6.4e-9", 0),
+    # g_a^2 overflows the amplitude's mean-field system, omega_b the thermal occupation, and
+    # temperature_value=1e306 kappa (2 n + 1) in the diffusion; a g_m that overflows the
+    # coupling it forms from a drive gives the point's drift an infinite entry.
+    *(Exit(f"TestOverflowVerdicts::test_steady_reports_non_finite[{key}]", "steady", config,
+           args, 2, NON_FINITE)
+      for key, config, args in [
+          ("overrides0", "default.yaml", "--set g_a_over_2pi_hz=1e200"),
+          ("overrides1", "default.yaml",
+           "--set omega_b_over_2pi_hz=1e-300 --set temperature_value=1e10"),
+          ("overrides2", "default.yaml", "--set temperature_value=1e306"),
+          ("formed_coupling", edited("default.yaml", "  G_m_over_2pi_hz: 4.8e6\n", ""),
+           "--set g_m_over_2pi_hz=1e302")]),
+    *(Exit(f"TestOverflowVerdicts::test_validate_reports_non_finite[{override}]", "validate",
+           "validate.yaml", f"--set {override}", 2, NON_FINITE)
+      for override in ["g_a_over_2pi_hz=1e200", "temperature_value=1e306",
+                       "temperature_value=1e308"]),
+    Exit("TestOverflowVerdicts::test_wigner_reports_non_finite", "wigner", "wigner.yaml",
+         "--set temperature_value=1e306", 2, NON_FINITE),
+    # With G_m set, the coupling a drive would form is not used, and its overflow is silent.
+    # default.yaml's validity checks fail at any g_m.
+    *(Exit(f"TestOverflowVerdicts::test_unused_coupling_overflow_is_silent[{command}]", command,
+           config, f"--set g_m_over_2pi_hz=1e302 {args}", code)
+      for command, config, args, code in [
+          ("steady", "default.yaml", "", 0), ("validate", "default.yaml", "", 1),
+          ("wigner", "default.yaml", "", 0),
+          ("sweep", "fig3a.yaml", "--set rabi_rad_per_s=1.48e15", 0)]),
+    # fig2's point at 0 K with its nine rates at 1.6e-309 Hz solves like its 1.6 Hz twin.
+    Exit("TestOverflowVerdicts::test_float_min_rates_solve", "steady", "fig2.yaml",
+         f"{TINY_RATES} --set temperature_value=0", 0),
+    *(Exit(f"TestThreads::test_below_one_exits_2_before_any_output[{command}-{config}]", command,
+           config, "--threads 0", 2, "threads must be >= 1, got 0")
+      for command, config in [("steady", "default.yaml"), ("sweep", "fig3a.yaml"),
+                              ("wigner", "wigner.yaml"), ("validate", "validate.yaml")]),
+]
+
+
+def _define_exit_tests(rows: list[Exit]) -> None:
+    """Define each test the rows name, which runs its rows through ``check_exit``.
+
+    Rows that replaced a hand-written test keep its id, so a report or a deselection that
+    names it still does."""
+    assert len({row.test for row in rows}) == len(rows)
+    tests: dict[str, dict[str, Exit]] = {}
+    for row in rows:
+        name, _, param = row.test.partition("[")
+        tests.setdefault(name, {})[param[:-1]] = row
+    for name, params in tests.items():
+        if list(params) == [""]:
+            def test(tmp_path, row=params[""]):
+                check_exit(row, tmp_path)
+        else:
+            @pytest.mark.parametrize("row", list(params.values()), ids=list(params))
+            def test(tmp_path, row):
+                check_exit(row, tmp_path)
+        owner, _, function = name.rpartition("::")
+        if owner:
+            setattr(globals().setdefault(owner, type(owner, (), {})), function, staticmethod(test))
+        else:
+            globals()[function] = test
+
+
+_define_exit_tests(EXITS)
+
+
+BUNDLED = [yaml.safe_load(path.read_text(encoding="utf-8"))
+           for path in sorted(REPO_CONFIGS.glob("*.yaml"))]
+PHASES = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def drawn_configs(draw) -> dict:
+    """A bundled config's parameters, each number kept (12 in 16, so that many configs still
+    solve), scaled log-normally (2 in 16), set to 0 or drawn log-uniformly from 1e-320 to 1e308,
+    with 1-2 axes of at most 5 points drawn the same way around its values, an optional phase
+    pairing, and drawn wigner and validate blocks."""
+    def near(value: float) -> float:
+        how = draw(st.sampled_from(["zero", "draw", "scale", "scale", *["keep"] * 12]))
+        if how == "scale":
+            value *= math.exp(NormalDist(0.0, 2.0).inv_cdf(draw(st.floats(1e-3, 1.0 - 1e-3))))
+        elif how != "keep":
+            value = 0.0 if how == "zero" else 10.0 ** draw(st.floats(-320.0, 308.0))
+        return value
+
+    params = {key: value if key == "temperature_unit" else near(float(value))
+              for key, value in draw(st.sampled_from(BUNDLED))["parameters"].items()}
+    axes = []
+    for name in draw(st.lists(st.sampled_from(sorted(_AXIS_COLUMNS)), min_size=1, max_size=2,
+                              unique=True)):
+        around = params.get(_AXIS_COLUMNS[name][1], 1.0)
+        axes.append({"name": name, "start": near(around), "stop": near(around),
+                     "points": draw(st.integers(1, 5))})
+        if name == "temperature":
+            axes[-1]["unit"] = draw(st.sampled_from(["mK", "K"]))
+    sweep = {"axes": axes}
+    if draw(st.booleans()):
+        sweep["pairing"] = {"theta_forward_rad": draw(PHASES), "theta_backward_rad": draw(PHASES)}
+    wigner = {"phases_rad": draw(st.lists(PHASES, min_size=1, max_size=2)),
+              "points_per_axis": draw(st.integers(2, 9)), "extent_sigmas": near(6.0)}
+    return {"parameters": params, "sweep": sweep, "wigner": wigner,
+            "validate": {"kerr_over_2pi_hz": near(6.4e-9)}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn_configs())
+def test_every_drawn_config_keeps_the_exit_contract(tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("steady", "sweep", "wigner", "validate"):
+            run_cli(Path(tmp), command, tree)
