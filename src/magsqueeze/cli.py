@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,9 +153,12 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     # Every phase is solved before any file is written, so a failing phase leaves none.
     evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
     raise_first(evaluation.code, evaluation.value)
-    for theta, covariance in zip(spec.phases, evaluation.covariances):
-        block = covariance[2:4, 2:4]
-        extent = spec.extent_sigmas * float(np.sqrt(np.linalg.eigvalsh(block)[-1]))
+    blocks = evaluation.covariances[:, 2:4, 2:4]
+    extents = [spec.extent_sigmas * float(np.sqrt(np.linalg.eigvalsh(b)[-1])) for b in blocks]
+    if not all(math.isfinite(2.0 * extent) for extent in extents):
+        raise ConfigError(f"wigner.extent_sigmas = {spec.extent_sigmas!r} gives a grid span"
+                          " that is not finite")
+    for theta, block, extent in zip(spec.phases, blocks, extents):
         axis = np.linspace(-extent, extent, spec.points_per_axis)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
         points = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=1)

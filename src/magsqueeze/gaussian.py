@@ -13,7 +13,7 @@ monogamy decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,9 +35,7 @@ __all__ = [
     "CovarianceMatrix",
     "Partition",
     "symplectic_form",
-    "partial_transpose",
     "log_negativity",
-    "residual_contangle",
     "min_residual_contangle",
     "three_mode_measures",
     "wigner_single_mode",
@@ -59,8 +57,8 @@ class CovarianceMatrix:
         Real square array of shape ``(2n, 2n)`` in interleaved quadrature
         ordering. Its entries must be finite, and it must be symmetric to within
         a relative tolerance of 1e-12; violating either raises ``InvalidInputError``.
-        Physicality (the uncertainty bound) is *not* enforced here because
-        partial transposition legitimately produces unphysical matrices.
+        Physicality (the uncertainty bound) is *not* enforced here; the
+        measures check it.
     """
 
     data: NDArray[np.float64]
@@ -87,15 +85,6 @@ class CovarianceMatrix:
     @property
     def n_modes(self) -> int:
         return self.data.shape[0] // 2
-
-    def restricted(self, modes: Sequence[int]) -> "CovarianceMatrix":
-        """Reduced covariance matrix of the given modes, in the given order."""
-        idx: list[int] = []
-        for m in modes:
-            if not 0 <= m < self.n_modes:
-                raise InvalidInputError(f"mode index {m} out of range")
-            idx.extend((2 * m, 2 * m + 1))
-        return CovarianceMatrix(self.data[np.ix_(idx, idx)])
 
 
 def _unit_scaled(arr: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -155,29 +144,10 @@ def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(hermitian)[..., n:]
 
 
-def partial_transpose(v: CovarianceMatrix, party: Iterable[int]) -> CovarianceMatrix:
-    """Covariance matrix after partial transposition of the given modes.
-
-    Transposition flips the sign of the momentum quadrature of every mode
-    in ``party``: ``V -> P V P`` with ``P = diag(..., 1, -1, ...)``.  The
-    result may violate the uncertainty bound; that violation is exactly
-    what signals entanglement.
-    """
-    modes = sorted({int(m) for m in party})
-    if not modes:
-        raise InvalidInputError("party must contain at least one mode")
-    if modes[0] < 0 or modes[-1] >= v.n_modes:
-        raise InvalidInputError(f"party modes {modes} out of range for {v.n_modes} modes")
-    signs = np.ones(2 * v.n_modes)
-    for m in modes:
-        signs[2 * m + 1] = -1.0
-    return CovarianceMatrix(v.data * np.outer(signs, signs))
-
-
 def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     """Logarithmic negativity across a bipartition of 2 or 3 modes.
 
-    The state is restricted to the partition's modes, party A is partially
+    Only the partition's modes are kept, party A is partially
     transposed, and the measure is ``max(0, -ln(2 nu))`` with ``nu`` the
     smallest symplectic eigenvalue of the transposed matrix.
 
@@ -199,41 +169,34 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
         raise InvalidInputError("partition must cover 2 or 3 modes in total")
     raise_first(*_exact_verdicts(v.data[None]))
 
-    sub = v.restricted(modes)
-    local_a = [modes.index(m) for m in partition.party_a]
+    # Keep the partition's quadratures and negate party A's momenta: P V P, P = diag(1, -1, ...).
+    quadratures = [2 * m + k for m in modes for k in (0, 1)]
+    signs = np.array([-1.0 if k and m in partition.party_a else 1.0 for m in modes for k in (0, 1)])
+    transposed = v.data[np.ix_(quadratures, quadratures)] * np.outer(signs, signs)
     # V passed the exact checks, so the partial transpose factors (see three_mode_measures).
-    nu_min = float(_symplectic_spectra(partial_transpose(sub, local_a).data)[0])
+    nu_min = float(_symplectic_spectra(transposed)[0])
     if nu_min <= 0.0:
         raise verdict_error(NON_POSITIVE_SPECTRUM)
     return max(0.0, -float(np.log(2.0 * nu_min)))
 
 
-def residual_contangle(v: CovarianceMatrix, focus_mode: int) -> float:
-    """Residual tangle of a three-mode state with respect to ``focus_mode``.
+def min_residual_contangle(v: CovarianceMatrix) -> float:
+    """Minimum residual tangle of a three-mode state over the three focus modes, floored at 0.
 
-    Computes ``C(i|jk) - C(i|j) - C(i|k)`` where ``C`` is the squared
-    logarithmic negativity and ``i`` is the focus mode.  Monogamy requires
-    the result to be non-negative; it is returned unclamped, so rounding can
-    leave it slightly below zero.
+    The residual tangle of focus ``i`` is ``C(i|jk) - C(i|j) - C(i|k)``, where ``C`` is the
+    squared logarithmic negativity.  Monogamy requires it to be non-negative, though rounding
+    can leave it slightly below zero.  The minimum is the conservative witness of genuinely
+    tripartite entanglement: it is positive only if every focus decomposition leaves a surplus.
     """
     if v.n_modes != 3:
         raise InvalidInputError(f"residual tangle requires exactly 3 modes, got {v.n_modes}")
-    if focus_mode not in (0, 1, 2):
-        raise InvalidInputError(f"focus_mode must be 0, 1 or 2, got {focus_mode}")
-    others = [m for m in range(3) if m != focus_mode]
-    total = log_negativity(v, Partition({focus_mode}, set(others))) ** 2
-    split = sum(log_negativity(v, Partition({focus_mode}, {m})) ** 2 for m in others)
-    return total - split
-
-
-def min_residual_contangle(v: CovarianceMatrix) -> float:
-    """Minimum of the residual tangle over the three focus choices, floored at 0.
-
-    This is the conservative witness of genuinely tripartite entanglement:
-    it is positive only if every focus decomposition leaves a surplus.
-    """
-    smallest = min(residual_contangle(v, focus) for focus in range(3))
-    return max(0.0, smallest)
+    residuals = []
+    for focus in range(3):
+        j, k = (m for m in range(3) if m != focus)
+        total, pair_j, pair_k = (log_negativity(v, Partition({focus}, party)) ** 2
+                                 for party in ({j, k}, {j}, {k}))
+        residuals.append(total - (pair_j + pair_k))
+    return max(0.0, min(residuals))
 
 
 def wigner_single_mode(

@@ -97,6 +97,14 @@ def _vech_operator(d: int) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[
     return rows * d + cols, index, operator.reshape(d * d, m * m)
 
 
+def _refined_solve(system: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Batched solution of ``system @ x = rhs`` with one refinement step."""
+    x = np.linalg.solve(system, rhs)
+    # Refinement recovers the last bits (a vacuum diagonal comes out as exactly 1/2).
+    x += np.linalg.solve(system, rhs - system @ x)
+    return x
+
+
 def steady_stack(
     gammas: NDArray[np.float64], diffusions: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.int8], NDArray[np.float64]]:
@@ -125,11 +133,16 @@ def steady_stack(
     system = (g.reshape(-1, d * d) @ operator).reshape(-1, lower.size, lower.size)
     rhs = -lam.reshape(-1, d * d)[:, lower, None]
     try:
-        x = np.linalg.solve(system, rhs)
-        # Refinement recovers the last bits (a vacuum diagonal comes out as exactly 1/2).
-        x += np.linalg.solve(system, rhs - system @ x)
-    except np.linalg.LinAlgError:  # a singular system: NaN gets the residual verdict
+        x = _refined_solve(system, rhs)
+    except np.linalg.LinAlgError:
+        # One singular system fails the batch: solve one at a time, so only it is NaN, which
+        # gets the residual verdict, and every other system keeps the bits of the batch.
         x = np.full(rhs.shape, np.nan)
+        for k in range(len(x)):
+            try:
+                x[k:k + 1] = _refined_solve(system[k:k + 1], rhs[k:k + 1])
+            except np.linalg.LinAlgError:
+                pass
     v = x[:, index, 0]
     covariances[stable] = v
     # Both norms scale by max|Lambda|, as squares of entries near the float range overflow.

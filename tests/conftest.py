@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from magsqueeze import MagsqueezeError, SystemParams
+from magsqueeze import CovarianceMatrix, MagsqueezeError, Partition, SystemParams, log_negativity
 from magsqueeze.errors import verdict_error
 
 TWO_PI = 2.0 * np.pi
@@ -37,6 +37,17 @@ def make_params(**overrides: float) -> SystemParams:
 def verdict(code: int, value: float = np.nan) -> MagsqueezeError | None:
     """The exception of a verdict code and its quoted value, None for ok."""
     return verdict_error(code, value) if code else None
+
+
+def focus_residuals(state: CovarianceMatrix) -> list[float]:
+    """The unclamped residual tangle E(f|jk)^2 - (E(f|j)^2 + E(f|k)^2) of each focus mode f."""
+    out = []
+    for focus in range(3):
+        j, k = (m for m in range(3) if m != focus)
+        total, pair_j, pair_k = (log_negativity(state, Partition({focus}, party)) ** 2
+                                 for party in ({j, k}, {j}, {k}))
+        out.append(total - (pair_j + pair_k))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from magsqueeze import (
     cli,
     directional_measures,
     evolve_covariance,
-    residual_contangle,
     solve_lyapunov,
     stability,
     sweep,
@@ -34,7 +33,7 @@ from magsqueeze import (
 from magsqueeze.analysis import CONTRASTS, MEASURES
 from magsqueeze.gaussian import _uncertainty_floor
 
-from conftest import KAPPA_A, TWO_PI, make_params
+from conftest import KAPPA_A, TWO_PI, focus_residuals, make_params
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -115,7 +114,7 @@ def grid_checks():
         if with_monogamy:
             worst["monogamy"] = min(
                 worst["monogamy"],
-                min(residual_contangle(v, focus) for focus in range(3)),
+                min(focus_residuals(v)),
             )
 
     for upsilon in UPS_61:

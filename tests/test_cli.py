@@ -680,6 +680,11 @@ EXITS = [
     Exit("TestWigner::test_points_past_the_index_range_exit_2", "wigner", "wigner.yaml",
          "--set wigner.points_per_axis=9223372036854775808", 2,
          "wigner.points_per_axis must be at most 9223372036854775807"),
+    # The magnon's largest standard deviation is 0.90-1.18 at the four phases of wigner.yaml,
+    # so every extent is finite and every span 2 * extent overflows.
+    Exit("TestWigner::test_grid_span_past_the_float_range_exits_2", "wigner", "wigner.yaml",
+         "--set wigner.extent_sigmas=1e308", 2,
+         "wigner.extent_sigmas = 1e+308 gives a grid span that is not finite"),
     Exit("TestWigner::test_unstable_point_exits_3", "wigner", "wigner.yaml",
          "--set upsilon_over_2pi_hz=1e9", 3, UNSTABLE),
     Exit("TestValidate::test_missing_kerr_exits_2", "validate", base(), "", 2,

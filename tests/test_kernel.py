@@ -36,7 +36,7 @@ from magsqueeze import (
     sweep,
     symplectic_form,
 )
-from magsqueeze.analysis import CONTRASTS, _CHUNK
+from magsqueeze.analysis import CONTRASTS, _CHUNK, Evaluation
 from magsqueeze.config import load_config
 from magsqueeze.errors import OK, RESIDUAL, UNSTABLE, VERDICTS, verdict_error
 from magsqueeze.tableio import read_csv, sweep_table
@@ -374,3 +374,29 @@ def test_a_failed_lyapunov_factorization_is_a_residual_verdict(monkeypatch):
     result = sweep(points[0], [("upsilon", upsilon)])
     assert result.failed.tolist() == [True, True, False]
     assert not result.stable.any()
+
+
+def test_a_singular_system_fails_only_its_own_point(monkeypatch):
+    # The batched solve fails as a whole when one system is singular. The chunk is then
+    # solved one system at a time: only the marked point gets the residual verdict, and
+    # every other point keeps the bits of an unpatched evaluate.
+    points = [make_params(upsilon=u * KAPPA_A) for u in (0.5, 0.9, 1.3, 4.5, 1.1)]
+    want = evaluate(points)
+    assert want.code.tolist() == [OK, OK, OK, UNSTABLE, OK]
+    real, systems = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a) or real(a, b))
+    evaluate(points)
+    marked = systems[0][1]  # the system of the second point
+
+    def solve(a, b):
+        if any(np.array_equal(system, marked) for system in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    got = evaluate(points)
+    assert got.code.tolist() == [OK, RESIDUAL, OK, UNSTABLE, OK]
+    assert np.isnan(got.value[1]) and np.isnan(got.measures[1]).all()
+    keep = [0, 2, 3, 4]
+    for name in Evaluation._fields:
+        assert getattr(got, name)[keep].tobytes() == getattr(want, name)[keep].tobytes(), name

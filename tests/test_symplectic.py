@@ -26,7 +26,6 @@ from magsqueeze import (
     evaluate,
     log_negativity,
     min_residual_contangle,
-    partial_transpose,
     steady_state,
     symplectic_form,
 )
@@ -47,15 +46,20 @@ PARTITIONS = [Partition({0}, {1}), Partition({0}, {2}), Partition({1}, {2})] + [
     Partition({f}, {0, 1, 2} - {f}) for f in range(3)
 ]
 
+# The kept quadratures of each of PARTITIONS and their signs: transposing mode m negates p_m.
+TRANSPOSES = [
+    ([0, 1, 2, 3], [1, -1, 1, 1]),
+    ([0, 1, 4, 5], [1, -1, 1, 1]),
+    ([2, 3, 4, 5], [1, -1, 1, 1]),
+    ([0, 1, 2, 3, 4, 5], [1, -1, 1, 1, 1, 1]),
+    ([0, 1, 2, 3, 4, 5], [1, 1, 1, -1, 1, 1]),
+    ([0, 1, 2, 3, 4, 5], [1, 1, 1, 1, 1, -1]),
+]
+
 
 def transposes(v: CovarianceMatrix) -> list[np.ndarray]:
     """The six partial transposes behind the three-mode measures of ``v``."""
-    out = []
-    for partition in PARTITIONS:
-        modes = partition.modes
-        sub = v.restricted(modes)
-        out.append(partial_transpose(sub, [modes.index(m) for m in partition.party_a]).data)
-    return out
+    return [v.data[np.ix_(q, q)] * np.outer(signs, signs) for q, signs in TRANSPOSES]
 
 
 def exact_spectrum(w: np.ndarray) -> list[float]:
