@@ -16,7 +16,6 @@ aborting the run.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -159,11 +158,6 @@ class SweepResult:
             )
 
 
-def _nullable(values: np.ndarray) -> list[float | None]:
-    """Entries of a 1-D array as floats, NaN as None."""
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
 class Evaluation(NamedTuple):
     """Per-point outcomes of ``evaluate`` for ``n`` operating points.
 
@@ -254,7 +248,7 @@ def directional_measures(params: SystemParams, pairing: PhasePairing) -> Contras
     if not steady.any():
         raise NoMeasuresError("neither phase setting of the pairing admits a steady state")
     forward, backward = (
-        DirectionalPoint(theta, stable, *_nullable(measures))
+        DirectionalPoint(theta, stable, *(None if v != v else v for v in measures.tolist()))
         for theta, stable, measures in zip(thetas, steady.tolist(), evaluation.measures)
     )
     return ContrastRecord(*_contrast(steady, evaluation.measures).tolist(), forward, backward)

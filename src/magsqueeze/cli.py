@@ -97,7 +97,7 @@ def cmd_steady(config: RunConfig, out_dir: Path, fmt: str) -> int:
     if config.dump_covariance:
         labels = ["x_a", "p_a", "x_m", "p_m", "q", "p"]
         table = ResultTable(
-            columns=dict(zip(labels, evaluation.covariances[0].T.tolist())),
+            columns=dict(zip(labels, evaluation.covariances[0].T)),
             metadata=_base_metadata(config, "steady"),
         )
         _write(table, out_dir / "covariance", fmt, "covariance written to")
@@ -150,6 +150,11 @@ def _phase_tag(theta: float) -> str:
 
 def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     spec = config.wigner
+    stems = [f"wigner_theta_{_phase_tag(theta)}pi" for theta in spec.phases]
+    if len(set(stems)) < len(stems):  # two phases would write one file
+        k = next(k for k, stem in enumerate(stems) if stem in stems[:k])
+        raise ConfigError(f"wigner.phases_rad {spec.phases[stems.index(stems[k])]!r} and"
+                          f" {spec.phases[k]!r} would both write {stems[k]}.csv")
     # Every phase is solved before any file is written, so a failing phase leaves none.
     evaluation = evaluate([replace(config.params, theta=theta) for theta in spec.phases])
     raise_first(evaluation.code, evaluation.value)
@@ -158,7 +163,7 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
     if not all(math.isfinite(2.0 * extent) for extent in extents):
         raise ConfigError(f"wigner.extent_sigmas = {spec.extent_sigmas!r} gives a grid span"
                           " that is not finite")
-    for theta, block, extent in zip(spec.phases, blocks, extents):
+    for stem, theta, block, extent in zip(stems, spec.phases, blocks, extents):
         axis = np.linspace(-extent, extent, spec.points_per_axis)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
         points = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=1)
@@ -168,9 +173,9 @@ def cmd_wigner(config: RunConfig, out_dir: Path, fmt: str) -> int:
         metadata = _base_metadata(config, "wigner")
         metadata.append(("theta_rad", repr(float(theta))))
         metadata.append(("normalization_integral", repr(norm)))
-        columns = {"x": points[:, 0].tolist(), "y": points[:, 1].tolist(), "W": w.tolist()}
-        table = ResultTable(columns=columns, metadata=metadata)
-        _write(table, out_dir / f"wigner_theta_{_phase_tag(theta)}pi", fmt)
+        table = ResultTable(columns={"x": points[:, 0], "y": points[:, 1], "W": w},
+                            metadata=metadata)
+        _write(table, out_dir / stem, fmt)
     return EXIT_OK
 
 

@@ -138,10 +138,11 @@ def _number(
 ) -> float:
     """``scale`` times ``value`` as a float, which must pass ``test`` if one is given;
     the message then says what ``where`` ``must`` be."""
-    # YAML 1.1 only treats exponent forms with a decimal point as floats;
-    # accept the bare string form ("6e6") as a convenience.
+    # YAML 1.1 only treats exponent forms with a decimal point as floats; accept the bare
+    # string form ("6e6"), without the whitespace float() ignores, as a convenience.
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+                or isinstance(value, str) and value != value.strip()):
             raise ValueError
         number = scale * float(value)
     except OverflowError:  # an int past the float range reads as +-inf, as YAML reads 1e400

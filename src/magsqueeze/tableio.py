@@ -1,8 +1,9 @@
 """Deterministic tabular serialization: CSV with a metadata header, and JSON.
 
-Floats are written with their shortest round-trip decimal representation
-(``repr``), nulls as empty fields, newlines as ``\\n``; identical inputs
-therefore produce byte-identical files.
+A column is a 1-D array: float64 with NaN for a null cell, or integers (the
+``stable`` column).  Floats are written with their shortest round-trip decimal
+representation (``repr``), a null as an empty CSV field and a JSON ``null``,
+newlines as ``\\n``; identical inputs therefore produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,38 +14,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CONTRASTS, MEASURES, SweepResult, _nullable
+from .analysis import CONTRASTS, MEASURES, SweepResult
 from .errors import InvalidInputError
 
 __all__ = ["ResultTable", "sweep_table", "write_csv", "read_csv", "write_json"]
-
-Cell = float | int | None
 
 _INT_COLUMNS = {"stable"}
 
 
 @dataclass
 class ResultTable:
-    """Named columns of equal length plus ordered metadata key/value pairs."""
+    """Named 1-D columns of equal length plus ordered metadata key/value pairs."""
 
-    columns: dict[str, list[Cell]]
+    columns: dict[str, np.ndarray]
     metadata: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        lengths = [len(cells) for cells in self.columns.values()]
-        for name, length in zip(self.columns, lengths):
-            if length != lengths[0]:
-                raise InvalidInputError(
-                    f"column {name!r} has {length} cells, expected {lengths[0]}"
-                )
-
-
-def _format_cell(value: Cell) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+        self.columns = {name: np.asarray(cells) for name, cells in self.columns.items()}
+        expected = len(next(iter(self.columns.values()), ()))
+        for name, cells in self.columns.items():
+            if cells.ndim != 1 or cells.dtype.kind not in "iuf":
+                raise InvalidInputError(f"column {name!r} must be a 1-D float or integer array")
+            if len(cells) != expected:
+                raise InvalidInputError(f"column {name!r} has {len(cells)} cells, expected {expected}")
 
 
 def sweep_table(
@@ -65,15 +57,11 @@ def sweep_table(
         raise InvalidInputError("axis_columns must match the sweep axes in count and length")
 
     mesh = np.meshgrid(*(np.asarray(grid, dtype=float) for _, grid in axis_columns), indexing="ij")
-    columns: dict[str, list[Cell]] = {
-        name: axis.ravel().tolist() for (name, _), axis in zip(axis_columns, mesh)
-    }
-    columns["stable"] = result.stable.astype(int).tolist()
-    for name, values in zip(MEASURES, result.measures.T):
-        columns[name] = _nullable(values)
+    columns = {name: axis.ravel() for (name, _), axis in zip(axis_columns, mesh)}
+    columns["stable"] = result.stable.astype(int)
+    columns.update(zip(MEASURES, result.measures.T))
     if result.contrasts is not None:
-        for name, values in zip(CONTRASTS, result.contrasts.T):
-            columns[name] = _nullable(values)
+        columns.update(zip(CONTRASTS, result.contrasts.T))
 
     n_stable = int(result.stable.sum())
     metadata = list(extra_metadata)
@@ -85,18 +73,24 @@ def sweep_table(
     return ResultTable(columns=columns, metadata=metadata)
 
 
+def _fields(cells: np.ndarray) -> list[str]:
+    """The CSV fields of a column: ``str`` per integer, ``repr`` per float, "" for NaN."""
+    if cells.dtype.kind != "f":
+        return list(map(str, cells.tolist()))
+    return ["" if v != v else repr(v) for v in cells.tolist()]
+
+
 def write_csv(table: ResultTable, path: str | Path) -> None:
     lines = [f"# {key} = {value}" for key, value in table.metadata]
     lines.append(",".join(table.columns))
-    for row in zip(*table.columns.values()):
-        lines.append(",".join(map(_format_cell, row)))
+    lines.extend(map(",".join, zip(*map(_fields, table.columns.values()))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_csv(path: str | Path) -> ResultTable:
     """Parse a file written by write_csv back into a ResultTable."""
     metadata: list[tuple[str, str]] = []
-    columns: dict[str, list[Cell]] | None = None
+    texts: dict[str, list[str]] | None = None
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line:
             continue
@@ -104,26 +98,29 @@ def read_csv(path: str | Path) -> ResultTable:
             key, _, value = line[1:].strip().partition(" = ")
             metadata.append((key, value))
             continue
-        if columns is None:
+        if texts is None:
             names = line.split(",")
-            columns = {name: [] for name in names}
-            if len(columns) != len(names):
+            texts = {name: [] for name in names}
+            if len(texts) != len(names):
                 raise InvalidInputError(f"{path} repeats a column name: {line}")
             continue
-        texts = line.split(",")
-        if len(texts) != len(columns):
+        row = line.split(",")
+        if len(row) != len(texts):
             raise InvalidInputError(
-                f"{path} line {number} has {len(texts)} cells, expected {len(columns)}"
+                f"{path} line {number} has {len(row)} cells, expected {len(texts)}"
             )
-        for (name, cells), text in zip(columns.items(), texts):
-            if text == "":
-                cells.append(None)
-            elif name in _INT_COLUMNS:
-                cells.append(int(text))
-            else:
-                cells.append(float(text))
-    if columns is None:
+        for cells, text in zip(texts.values(), row):
+            cells.append(text)
+    if texts is None:
         raise InvalidInputError(f"{path} has no header row")
+    try:
+        columns = {
+            name: np.array(list(map(int, cells)), dtype=int) if name in _INT_COLUMNS
+            else np.array([float(text) if text else np.nan for text in cells])
+            for name, cells in texts.items()
+        }
+    except (ValueError, OverflowError) as exc:  # not a number, an empty or huge integer cell
+        raise InvalidInputError(f"{path} has an unreadable cell: {exc}") from None
     return ResultTable(columns=columns, metadata=metadata)
 
 
@@ -131,5 +128,7 @@ def write_json(table: ResultTable, path: str | Path) -> None:
     # Imported here: only --format json needs it, and every launch imports this module.
     import json
 
-    payload = {"metadata": dict(table.metadata), "columns": table.columns}
+    columns = {name: [None if v != v else v for v in cells.tolist()]
+               for name, cells in table.columns.items()}
+    payload = {"metadata": dict(table.metadata), "columns": columns}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")

@@ -184,8 +184,8 @@ class TestSweep:
 
         grid = np.linspace(0.0, 3.0e6, 5) * TWO_PI
         direct = run_sweep(make_params(), [("upsilon", grid)])
-        expected = direct.measures[:, MEASURES.index("E_mb")].tolist()
-        assert table.columns["E_mb"] == expected  # repr round-trip is exact
+        expected = direct.measures[:, MEASURES.index("E_mb")]
+        np.testing.assert_array_equal(table.columns["E_mb"], expected)  # repr round-trip is exact
 
     def test_byte_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep_tree())
@@ -203,7 +203,9 @@ class TestSweep:
         assert code == 0
         payload = json.loads((out_dir / "sweep.json").read_text())
         table = read_csv(out_dir / "sweep.csv")
-        assert payload["columns"]["E_mb"] == table.columns["E_mb"]
+        # json.loads reads null as None, which a float array holds as NaN.
+        np.testing.assert_array_equal(np.array(payload["columns"]["E_mb"], dtype=float),
+                                      table.columns["E_mb"])
         assert "stable_points" in payload["metadata"]
 
     def test_pairing_adds_contrast_columns_and_zones(self, tmp_path, capsys):
@@ -672,6 +674,10 @@ EXITS = [
           ("ends_past_si", "start: -1.0e308, stop: 1.0e308")]),
     # 2**59 points of 8 bytes exceed any x86-64 address space, so the allocation fails
     # before a page is touched.
+    # float() ignores the line breaks of a quoted number, which would split the CSV header.
+    Exit("TestSweep::test_quoted_number_with_line_breaks_exits_2", "sweep", "fig3a.yaml",
+         "--set 'temperature_value=\"10\\n \\n\"'", 2,
+         "temperature_value must be a number, got '10\\n \\n'"),
     Exit("TestSweep::test_axis_too_large_to_allocate_exits_2", "sweep",
          edited("fig3a.yaml", "points: 101", f"points: {2**59}"), "", 2,
          "Unable to allocate 4.00 EiB..."),
@@ -685,6 +691,12 @@ EXITS = [
     Exit("TestWigner::test_grid_span_past_the_float_range_exits_2", "wigner", "wigner.yaml",
          "--set wigner.extent_sigmas=1e308", 2,
          "wigner.extent_sigmas = 1e+308 gives a grid span that is not finite"),
+    # Two phases with one file tag would write one file twice, the first grid lost.
+    *(Exit(f"TestWigner::test_phases_sharing_a_file_tag_exit_2[{key}]", "wigner", "wigner.yaml",
+           f"--set 'wigner.phases_rad=[{a}, {b}]'", 2,
+           f"wigner.phases_rad {a} and {b} would both write wigner_theta_{tag}pi.csv")
+      for key, a, b, tag in [("near", 1.5707963, 1.5707964, "0p5"),
+                             ("repeated", 1.0, 1.0, "0p31831")]),
     Exit("TestWigner::test_unstable_point_exits_3", "wigner", "wigner.yaml",
          "--set upsilon_over_2pi_hz=1e9", 3, UNSTABLE),
     Exit("TestValidate::test_missing_kerr_exits_2", "validate", base(), "", 2,

@@ -50,6 +50,9 @@ CASES = [
      "g_a_over_2pi_hz must be a number, got 'fast'"),
     ("parameter_bool", tree(parameters=dict(PARAMS, theta_rad=True)),
      "theta_rad must be a number, got True"),
+    # float() ignores the line breaks, which would then split the CSV header.
+    ("parameter_number_with_line_breaks", tree(parameters=dict(PARAMS, temperature_value="10\n \n")),
+     "temperature_value must be a number, got '10\\n \\n'"),
     ("temperature_unit", tree(parameters=dict(PARAMS, temperature_unit="C")),
      "temperature_unit must be 'mK' or 'K', got 'C'"),
     ("invalid_parameters", tree(parameters=dict(PARAMS, kappa_a_over_2pi_hz=0.0)),

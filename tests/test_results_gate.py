@@ -32,11 +32,8 @@ CASES = {
 
 
 def as_array(table: ResultTable, names: list[str]) -> np.ndarray:
-    """The named columns of ``table`` as floats, one row per point, with empty cells as NaN."""
-    return np.array(
-        [[np.nan if cell is None else float(cell) for cell in table.columns[name]]
-         for name in names]
-    ).T
+    """The named columns of ``table`` as floats, one row per point, NaN where a cell is null."""
+    return np.column_stack([table.columns[name] for name in names]).astype(float)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
