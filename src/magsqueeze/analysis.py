@@ -272,7 +272,10 @@ def _validate_axes(
             )
         if pairing is not None and name == "theta":
             raise ConfigError("a theta axis cannot be combined with a phase pairing")
-        grid = np.asarray(list(values), dtype=np.float64)
+        try:
+            grid = np.asarray(list(values), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"axis {name!r} values must be numbers: {exc}") from exc
         if grid.ndim != 1 or grid.size < 1:
             raise ConfigError(f"axis {name!r} must be a non-empty 1-D grid")
         # Every SystemParams check is a sign, finiteness or None-pattern check,

@@ -144,6 +144,22 @@ def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(hermitian)[..., n:]
 
 
+def _transposition(partition: Partition) -> tuple[list[int], NDArray[np.float64]]:
+    """Kept quadratures and signs: P V P = V[kept, kept] * signs negates party A's momenta."""
+    modes = partition.modes
+    quadratures = [2 * m + k for m in modes for k in (0, 1)]
+    signs = np.array([-1.0 if k and m in partition.party_a else 1.0 for m in modes for k in (0, 1)])
+    return quadratures, np.outer(signs, signs)
+
+
+# The bipartitions of the three-mode measures in column order, party A transposed: the 1|1 pairs
+# 0|1, 0|2 and 1|2, then each mode against the other two; and the batch's gather tables.
+_PARTITIONS = tuple([Partition({i}, {j}) for i, j in ((0, 1), (0, 2), (1, 2))]
+                    + [Partition({f}, {0, 1, 2} - {f}) for f in range(3)])
+_PAIR_QUADRATURES, _PAIR_SIGNS = map(np.array, zip(*map(_transposition, _PARTITIONS[:3])))
+_FOCUS_SIGNS = np.array([_transposition(p)[1] for p in _PARTITIONS[3:]])
+
+
 def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     """Logarithmic negativity across a bipartition of 2 or 3 modes.
 
@@ -168,11 +184,8 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     if len(modes) not in (2, 3):
         raise InvalidInputError("partition must cover 2 or 3 modes in total")
     raise_first(*_exact_verdicts(v.data[None]))
-
-    # Keep the partition's quadratures and negate party A's momenta: P V P, P = diag(1, -1, ...).
-    quadratures = [2 * m + k for m in modes for k in (0, 1)]
-    signs = np.array([-1.0 if k and m in partition.party_a else 1.0 for m in modes for k in (0, 1)])
-    transposed = v.data[np.ix_(quadratures, quadratures)] * np.outer(signs, signs)
+    quadratures, signs = _transposition(partition)
+    transposed = v.data[np.ix_(quadratures, quadratures)] * signs
     # V passed the exact checks, so the partial transpose factors (see three_mode_measures).
     nu_min = float(_symplectic_spectra(transposed)[0])
     if nu_min <= 0.0:
@@ -180,23 +193,26 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     return max(0.0, -float(np.log(2.0 * nu_min)))
 
 
+def _residual_tangle(negativities: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Minimum residual tangle, floored at 0, of (..., 6) negativities in ``_PARTITIONS`` order."""
+    tangles = negativities**2
+    residuals = [tangles[..., 3 + focus] - (tangles[..., j] + tangles[..., k])
+                 for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))]
+    return np.maximum(0.0, np.minimum.reduce(residuals))
+
+
 def min_residual_contangle(v: CovarianceMatrix) -> float:
     """Minimum residual tangle of a three-mode state over the three focus modes, floored at 0.
 
     The residual tangle of focus ``i`` is ``C(i|jk) - C(i|j) - C(i|k)``, where ``C`` is the
     squared logarithmic negativity.  Monogamy requires it to be non-negative, though rounding
-    can leave it slightly below zero.  The minimum is the conservative witness of genuinely
-    tripartite entanglement: it is positive only if every focus decomposition leaves a surplus.
+    can leave it slightly below zero.  The minimum, positive only if every focus decomposition
+    leaves a surplus, witnesses genuinely tripartite entanglement; it is that of
+    ``three_mode_measures`` to the last bit, from the same six negativities and rule.
     """
     if v.n_modes != 3:
         raise InvalidInputError(f"residual tangle requires exactly 3 modes, got {v.n_modes}")
-    residuals = []
-    for focus in range(3):
-        j, k = (m for m in range(3) if m != focus)
-        total, pair_j, pair_k = (log_negativity(v, Partition({focus}, party)) ** 2
-                                 for party in ({j, k}, {j}, {k}))
-        residuals.append(total - (pair_j + pair_k))
-    return max(0.0, min(residuals))
+    return float(_residual_tangle(np.array([log_negativity(v, p) for p in _PARTITIONS])))
 
 
 def wigner_single_mode(
@@ -238,13 +254,6 @@ def _uncertainty_floor(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     omega = symplectic_form(arr.shape[-1] // 2)
     return np.linalg.eigvalsh(arr.astype(np.complex128) + 0.5j * omega)[..., 0]
 
-
-# The partial transposes behind the three-mode measures: the 1|1 pairs 0|1,
-# 0|2 and 1|2 (kept quadratures; the first mode is transposed), then each
-# mode f against the other two.  Transposing mode f negates p_f (index 2f + 1).
-_PAIR_QUADRATURES = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
-_PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
-_FOCUS_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
 
 # Largest tr V that the certificate of three_mode_measures clears.  A floor of V + (i/2) Omega
 # of at least -d gives V >= -d I, so lambda_max <= tr V + 5 d; and at u - i t Omega u for every
@@ -330,12 +339,7 @@ def three_mode_measures(
     code[factored & ~(nu > 0.0).all(axis=1)] = NON_POSITIVE_SPECTRUM
     with np.errstate(invalid="ignore", divide="ignore"):
         negativities = np.maximum(0.0, -np.log(2.0 * nu))
-        tangles = negativities**2
-        residuals = [
-            tangles[:, 3 + focus] - (tangles[:, j] + tangles[:, k])
-            for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))
-        ]
-    out = np.column_stack([negativities[:, :3], np.maximum(0.0, np.minimum.reduce(residuals))])
+        out = np.column_stack([negativities[:, :3], _residual_tangle(negativities)])
     out[code != OK] = np.nan
     value[code == OK] = np.nan
     return out, code, value

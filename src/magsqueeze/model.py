@@ -160,9 +160,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     ``hbar*omega/(k_B T) > 700`` and overflows to inf where that ratio
     underflows to 0, instead of raising.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise InvalidInputError(f"omega must be positive, got {omega}")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise InvalidInputError(f"temperature must be non-negative, got {temperature}")
     kt = _K_B * temperature
     if kt == 0.0:  # zero temperature, or one so small that k_B T underflows
@@ -181,16 +181,16 @@ def _power(x: float, k: int) -> float:
 
 def total_spins(sphere_diameter: float) -> float:
     """Total spin count of a YIG sphere: ``SPIN_DENSITY`` times (pi/6) d^3, inf on overflow."""
-    if sphere_diameter <= 0.0:
+    if not sphere_diameter > 0.0:
         raise InvalidInputError(f"sphere_diameter must be positive, got {sphere_diameter}")
     return SPIN_DENSITY * (math.pi / 6.0) * _power(sphere_diameter, 3)
 
 
 def rabi_frequency(h_d: float, n_spins: float) -> float:
     """Collective drive amplitude (sqrt(5)/4) * gamma * sqrt(N_0) * H_d in rad/s."""
-    if h_d < 0.0:
+    if not h_d >= 0.0:
         raise InvalidInputError(f"h_d must be non-negative, got {h_d}")
-    if n_spins <= 0.0:
+    if not n_spins > 0.0:
         raise InvalidInputError("n_spins must be positive")
     return (math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * math.sqrt(n_spins) * h_d
 
@@ -302,16 +302,40 @@ def _brentq(
     return root
 
 
-def _self_consistent_shift(
-    c: Columns, idx: NDArray, system: NDArray, delta_bar: NDArray, m_s: NDArray, code: NDArray
-) -> None:
-    """Solve Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b at the points ``idx``.
+class DerivedColumns(NamedTuple):
+    """Per-point results of ``derive_many``.
 
-    ``system`` is ``_amplitude_system(c)``.  Writes the solutions into ``delta_bar`` (bare
-    detunings on entry) and ``m_s``, and the verdict codes of the points without one into ``code``.
-    Direct detunings, or a direct G_m, take no backaction: such a point converges at its first
-    iterate, the amplitude at the bare detuning.
+    ``delta_m_bar`` is the effective magnon detuning and ``m_s`` the steady
+    magnon amplitude, NaN without a drive.  ``code`` is 0 where a point
+    derived, otherwise its verdict code: resonance, no_fixed_point, or
+    non_finite where the amplitude's mean-field system overflows.
     """
+
+    delta_m_bar: NDArray[np.float64]
+    m_s: NDArray[np.complex128]
+    code: NDArray[np.int8]
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
+    """Effective magnon detunings and steady amplitudes of many operating points (``SystemParams``
+    or their ``gather`` columns), by one batched solve of the self-consistent shift
+    Delta_m_bar = Delta_m - g_m^2 |m_s(Delta_m_bar)|^2 / omega_b.
+
+    A point at parametric resonance, or whose shift has no fixed point, gets the verdict code of
+    the ``ParametricResonanceError`` ``build_drift`` raises for it.  Direct detunings, or a direct
+    G_m, take no backaction: such a point converges at its first iterate, the bare amplitude.
+    """
+    c = points if isinstance(points, dict) else gather(points)
+    driven = ~np.isnan(c["rabi"])
+    delta_bar = c["delta_m"].copy()
+    m_s = np.full(delta_bar.size, np.nan, dtype=complex)
+    code = np.zeros(delta_bar.size, dtype=np.int8)
+    # A point whose amplitude system overflows gets the non_finite verdict.
+    system = _amplitude_system(c)
+    finite = np.isfinite(system).all(axis=0)
+    code[driven & ~finite] = NON_FINITE
+    idx = np.flatnonzero(driven & finite)
     shift = np.isnan(c["G_m"]) & ~np.isnan(c["omega_0"])
 
     def shifted(x: NDArray, sel: NDArray) -> tuple[NDArray, NDArray, NDArray]:
@@ -364,41 +388,6 @@ def _self_consistent_shift(
     idx, root = idx[found], root[found]
     delta_bar[idx], m_s[idx], pole = shifted(root, idx)
     code[idx[pole]] = RESONANCE
-
-
-class DerivedColumns(NamedTuple):
-    """Per-point results of ``derive_many``.
-
-    ``delta_m_bar`` is the effective magnon detuning and ``m_s`` the steady
-    magnon amplitude, NaN without a drive.  ``code`` is 0 where a point
-    derived, otherwise its verdict code: resonance, no_fixed_point, or
-    non_finite where the amplitude's mean-field system overflows.
-    """
-
-    delta_m_bar: NDArray[np.float64]
-    m_s: NDArray[np.complex128]
-    code: NDArray[np.int8]
-
-
-def derive_many(points: Sequence[SystemParams] | Columns) -> DerivedColumns:
-    """Effective magnon detunings and steady amplitudes of many operating
-    points (``SystemParams`` or their ``gather`` columns), with one batched
-    self-consistent shift.
-
-    A point at parametric resonance, or whose shift has no fixed point, gets
-    the verdict code of the ``ParametricResonanceError`` ``build_drift`` raises for it.
-    """
-    c = points if isinstance(points, dict) else gather(points)
-    driven = ~np.isnan(c["rabi"])
-    delta_bar = c["delta_m"].copy()
-    m_s = np.full(delta_bar.size, np.nan, dtype=complex)
-    code = np.zeros(delta_bar.size, dtype=np.int8)
-    # A point whose amplitude system overflows gets the non_finite verdict.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        system = _amplitude_system(c)
-        finite = np.isfinite(system).all(axis=0)
-        code[driven & ~finite] = NON_FINITE
-        _self_consistent_shift(c, np.flatnonzero(driven & finite), system, delta_bar, m_s, code)
     return DerivedColumns(delta_bar, m_s, code)
 
 
@@ -463,7 +452,7 @@ def validity_report(
     before unstable in pipeline order (resonance, no_fixed_point, non_finite)
     leave nothing to report on and raise; unstable reports ``stable`` False.
     """
-    if kerr_coefficient < 0.0:
+    if not kerr_coefficient >= 0.0:
         raise InvalidInputError("kerr_coefficient must be non-negative")
     if not params.has_drive:
         raise InvalidInputError(f"validity checks need a drive: {_DRIVE_RULE}")

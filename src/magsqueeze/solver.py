@@ -53,8 +53,8 @@ class StabilityReport(NamedTuple):
 
 def _checked_square(matrix: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise InvalidInputError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
@@ -184,21 +184,24 @@ def evolve_covariance(
 ) -> CovarianceMatrix:
     """Integrate dV/dt = Gamma V + V Gamma^T + Lambda with a fourth-order explicit scheme.
 
-    The final step is shortened to land exactly on ``t_final``.  Norm
-    blow-up (non-finite entries or growth past 1e12 times the initial
-    scale) raises ``NumericalError``; that is the signature of a step size
-    too large for the fastest drift timescale.
+    ``dt`` must be finite and positive, ``t_final`` finite and non-negative.  The final step
+    is shortened to land exactly on ``t_final``.  Norm blow-up (non-finite entries or growth
+    past 1e12 times the initial scale) raises ``NumericalError``; that is the signature of a
+    step size too large for the fastest drift timescale.
     """
     arr_g = _checked_square(gamma, "gamma")
     arr_l = _checked_square(diffusion, "diffusion")
     if arr_l.shape != arr_g.shape or v0.data.shape != arr_g.shape:
         raise InvalidInputError("gamma, diffusion and v0 must share one square shape")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
+    if not t_final >= 0.0:
         raise InvalidInputError(f"t_final must be non-negative, got {t_final}")
+    if np.isinf([dt, t_final]).any():
+        raise InvalidInputError(f"dt and t_final must be finite, got {dt} and {t_final}")
     if t_final == 0.0:
         return v0
+    dt = min(dt, t_final)  # a step past t_final would build a propagator no step uses
 
     # One step of the classical fourth-order scheme on the vectorized flow
     # dv/dt = L v + vec(Lambda), L = Gamma kron I + I kron Gamma, is the

@@ -39,15 +39,17 @@ def verdict(code: int, value: float = np.nan) -> MagsqueezeError | None:
     return verdict_error(code, value) if code else None
 
 
+# The partitions of the three-mode measures in column order, party A transposed: the 1|1 pairs
+# 0|1, 0|2 and 1|2, then each mode against the other two.
+PARTITIONS = [Partition({0}, {1}), Partition({0}, {2}), Partition({1}, {2}),
+              Partition({0}, {1, 2}), Partition({1}, {0, 2}), Partition({2}, {0, 1})]
+
+
 def focus_residuals(state: CovarianceMatrix) -> list[float]:
     """The unclamped residual tangle E(f|jk)^2 - (E(f|j)^2 + E(f|k)^2) of each focus mode f."""
-    out = []
-    for focus in range(3):
-        j, k = (m for m in range(3) if m != focus)
-        total, pair_j, pair_k = (log_negativity(state, Partition({focus}, party)) ** 2
-                                 for party in ({j, k}, {j}, {k}))
-        out.append(total - (pair_j + pair_k))
-    return out
+    tangles = np.array([log_negativity(state, partition) for partition in PARTITIONS]) ** 2
+    return [tangles[3 + focus] - (tangles[j] + tangles[k])
+            for focus, (j, k) in enumerate(((0, 1), (0, 2), (1, 2)))]
 
 
 @pytest.fixture(scope="session")

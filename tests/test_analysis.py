@@ -266,6 +266,8 @@ class TestSweep:
             sweep(p, [("kappa_a", [1.0])])
         with pytest.raises(ConfigError):
             sweep(p, [("upsilon", [])])
+        with pytest.raises(ConfigError, match="axis 'upsilon' values must be numbers"):
+            sweep(p, [("upsilon", ["a"])])
         with pytest.raises(ConfigError):
             sweep(p, [("upsilon", [np.nan])])
         with pytest.raises(ConfigError, match="upsilon must be finite"):

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magsqueeze import (
+    CovarianceMatrix,
     InvalidInputError,
     MagsqueezeError,
     ModePair,
@@ -45,11 +46,6 @@ from conftest import KAPPA_A, TWO_PI, make_params, verdict
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# Relative agreement with the scalar path; the absolute floor covers
-# measures at zero and the cancellation in the residual tangle.
-RTOL = 1e-12
-ATOL = 1e-14
-
 
 def scalar_reference(params) -> list[float] | None:
     """E_am, E_ab, E_mb, R_min through the scalar functions; None when unstable."""
@@ -79,7 +75,7 @@ def assert_matches_scalar(points) -> int:
             continue
         stable += 1
         assert error is None
-        np.testing.assert_allclose(evaluation.measures[k], want, rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(evaluation.measures[k], want)
     return stable
 
 
@@ -113,6 +109,21 @@ class TestKernelMatchesScalarPath:
         ]
         stable = assert_matches_scalar(points)
         assert 0 < stable < n
+
+    def test_scalar_measures_are_the_batch_row_on_fig2(self):
+        # The scalar functions take the batch's six partitions and its residual rule, so they
+        # agree to the last bit, R_min included, on every fourth upsilon row of fig2's map.
+        config = load_config(REPO_CONFIGS / "fig2.yaml")
+        (name_1, grid_1), (name_2, grid_2) = ((a.name, a.si_values) for a in config.sweep.axes)
+        evaluation = evaluate([replace(config.params, **{name_1: float(x), name_2: float(y)})
+                               for x in grid_1[::4] for y in grid_2])
+        steady = np.flatnonzero(evaluation.code == OK)
+        assert steady.size > 900
+        for k in steady:
+            v = CovarianceMatrix(evaluation.covariances[k])
+            scalar = [bipartite_entanglement(v, pair) for pair in ModePair]
+            scalar.append(min_residual_contangle(v))
+            np.testing.assert_array_equal(scalar, evaluation.measures[k])
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.5 * np.pi])

@@ -79,6 +79,11 @@ class TestThermalOccupation:
             thermal_occupation(0.0, 0.01)
         with pytest.raises(InvalidInputError):
             thermal_occupation(TWO_PI * 1e6, -1.0)
+        # NaN fails every comparison, so the guards must not be written as x <= 0.
+        with pytest.raises(InvalidInputError, match="omega must be positive"):
+            thermal_occupation(np.nan, 1.0)
+        with pytest.raises(InvalidInputError, match="temperature must be non-negative"):
+            thermal_occupation(TWO_PI * 1e9, np.nan)
 
 
 class TestSpinCountAndDrive:
@@ -103,6 +108,12 @@ class TestSpinCountAndDrive:
             rabi_frequency(-1.0, N_SPINS)
         with pytest.raises(InvalidInputError):
             rabi_frequency(1e-5, 0.0)
+        with pytest.raises(InvalidInputError, match="sphere_diameter must be positive"):
+            total_spins(np.nan)
+        with pytest.raises(InvalidInputError, match="h_d must be non-negative"):
+            rabi_frequency(np.nan, N_SPINS)
+        with pytest.raises(InvalidInputError, match="n_spins must be positive"):
+            rabi_frequency(1e-5, np.nan)
 
 
 class TestSystemParams:
@@ -537,6 +548,10 @@ class TestValidityReport:
     def test_rejects_negative_kerr(self):
         with pytest.raises(InvalidInputError):
             report_of(driven_params(), -1.0)
+
+    def test_rejects_nan_kerr(self):
+        with pytest.raises(InvalidInputError, match="kerr_coefficient must be non-negative"):
+            report_of(driven_params(), np.nan)
 
     def test_requires_drive(self):
         with pytest.raises(InvalidInputError):

@@ -68,6 +68,10 @@ class TestStability:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInputError):
             stability(np.zeros((2, 3)))
+        with pytest.raises(InvalidInputError, match="non-empty square matrix"):
+            stability(np.zeros((0, 0)))
+        with pytest.raises(InvalidInputError, match="non-empty square matrix"):
+            solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_rejects_nonfinite(self):
         gamma = np.eye(2)
@@ -258,6 +262,19 @@ class TestEvolveCovariance:
             evolve_covariance(gamma, np.zeros((6, 6)), v0, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             evolve_covariance(gamma, np.zeros((6, 6)), v0, -1.0, 1e-9)
+        for t_final, dt, match in [
+            (1.0, np.nan, "dt must be positive"), (np.nan, 1e-9, "t_final must be non-negative"),
+            (1.0, np.inf, "must be finite"), (np.inf, 1e-9, "must be finite"),
+        ]:
+            with pytest.raises(InvalidInputError, match=match):
+                evolve_covariance(gamma, np.zeros((6, 6)), v0, t_final, dt)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_step_past_the_span_is_one_step_of_the_span(self):
+        # No propagator is built for the unused step length, which would overflow.
+        gamma, lam, v0 = -np.eye(2), np.eye(2), CovarianceMatrix(np.eye(2))
+        one_step = evolve_covariance(gamma, lam, v0, 0.1, 0.1)
+        assert np.array_equal(evolve_covariance(gamma, lam, v0, 0.1, 1e300).data, one_step.data)
 
     def test_rejects_nonfinite_input(self):
         gamma = build_drift(make_params())
