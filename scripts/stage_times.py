@@ -1,16 +1,17 @@
 """Per-stage wall time of one sweep, in process or per CLI launch.
 
 By default, runs the seed-0 input of each benchmark workload
-(``perfbench/workloads.py``, read only) through ``analysis.sweep`` and
-``tableio.sweep_table`` and ``tableio.write_csv`` (into a temporary
-directory), as the ``sweep`` command does, and times the stages of the
-operating-point path:
+(``perfbench/workloads.py``, read only) through ``cli.cmd_sweep``, the
+``sweep`` command itself (into a temporary directory, its printed line
+discarded), and times the stages of the operating-point path:
 ``derive_many``, ``drift_stack``, ``diffusion_stack``, ``steady_stack`` and
 ``three_mode_measures`` are wrapped in timers where ``magsqueeze.analysis``
-binds them, from outside the package, and the table build and the CSV write
-are timed around their calls.  ``sweep_other`` is the rest of ``sweep``, and
-``total`` runs from the sweep to the written file.  Every stage is reported
-as the median and quartiles over the repeats, in microseconds per table row.
+binds them, and ``sweep`` and ``write_csv`` where ``magsqueeze.cli`` binds
+them, all from outside the package.  ``sweep_other`` is the rest of
+``sweep``, ``sweep_table`` the rest of the command (the metadata, the table,
+the output directory and the printed line) and ``total`` the whole command.
+Every stage is reported as the median and quartiles over the repeats, in
+microseconds per table row.
 
 With ``--launch``, each repeat is instead one full ``magsqueeze sweep`` CLI
 process per workload, started as the benchmark starts them (``--threads 1``,
@@ -34,8 +35,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -124,12 +128,12 @@ def _versions() -> dict[str, object]:
 
 
 def _runners(src: Path, out: Path):
-    """One closure per workload that runs its sweep, table build and CSV write into ``out`` once."""
+    """One closure per workload that runs its ``sweep`` command into ``out`` once."""
     sys.path.insert(0, str(src))
     config = importlib.import_module("magsqueeze.config")
     analysis = importlib.import_module("magsqueeze.analysis")
-    tableio = importlib.import_module("magsqueeze.tableio")
-    elapsed = dict.fromkeys(STAGES, 0)
+    cli = importlib.import_module("magsqueeze.cli")
+    elapsed = dict.fromkeys((*STAGES, "sweep"), 0)
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -142,28 +146,24 @@ def _runners(src: Path, out: Path):
 
     for name in WRAPPED:
         setattr(analysis, name, timed(name, getattr(analysis, name)))
+    for name in ("sweep", "write_csv"):
+        setattr(cli, name, timed(name, getattr(cli, name)))
 
     def runner(name: str):
         workload = workloads.generate(name, 0)
         run = config.build_run_config(workload.config)
-        spec = run.sweep
-        axes = [(axis.name, axis.si_values) for axis in spec.axes]
-        display = [(axis.column_name, axis.display_values) for axis in spec.axes]
+        assert math.prod(len(axis.si_values) for axis in run.sweep.axes) == workload.rows
 
         def once() -> dict[str, int]:
-            elapsed.update(dict.fromkeys(STAGES, 0))
-            start = time.perf_counter_ns()
-            result = analysis.sweep(run.params, axes=axes, pairing=spec.pairing)
-            middle = time.perf_counter_ns()
-            table = tableio.sweep_table(result, axis_columns=display)
-            built = time.perf_counter_ns()
-            tableio.write_csv(table, out / f"{name}.csv")
-            end = time.perf_counter_ns()
-            assert len(table.columns["stable"]) == workload.rows
-            elapsed["sweep_other"] = middle - start - sum(elapsed[n] for n in WRAPPED)
-            elapsed["sweep_table"], elapsed["write_csv"] = built - middle, end - built
+            elapsed.update(dict.fromkeys(elapsed, 0))
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter_ns()
+                cli.cmd_sweep(run, out / name, "csv")
+                end = time.perf_counter_ns()
+            elapsed["sweep_other"] = elapsed["sweep"] - sum(elapsed[n] for n in WRAPPED)
+            elapsed["sweep_table"] = end - start - elapsed["sweep"] - elapsed["write_csv"]
             elapsed["total"] = end - start
-            return dict(elapsed)
+            return {stage: elapsed[stage] for stage in STAGES}
 
         return workload.rows, once
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gaussian import wigner_single_mode
 from .model import ValidityReport, rabi_frequency, total_spins, validity_report
-from .tableio import ResultTable, sweep_table, write_csv, write_json
+from .tableio import ResultTable, write_csv, write_json
 
 __all__ = ["main"]
 
@@ -135,12 +135,19 @@ def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
                 text = "; ".join(f"{lo!r}..{hi!r} K" for lo, hi in intervals) or "none"
                 metadata.append((f"ideal_zone {measure}", text))
 
-    table = sweep_table(
-        result,
-        axis_columns=[(axis.column_name, axis.display_values) for axis in spec.axes],
-        extra_metadata=metadata,
-    )
-    _write(table, out_dir / "sweep", fmt)
+    n_stable = int(result.stable.sum())
+    metadata += [("stable_points", str(n_stable)),
+                 ("unstable_points", str(len(result.stable) - n_stable))]
+    if result.failed.any():
+        metadata.append(("failed_points", str(int(result.failed.sum()))))
+
+    mesh = np.meshgrid(*(axis.display_values for axis in spec.axes), indexing="ij")
+    columns = {axis.column_name: grid.ravel() for axis, grid in zip(spec.axes, mesh)}
+    columns["stable"] = result.stable.astype(int)
+    columns.update(zip(MEASURES, result.measures.T))
+    if result.contrasts is not None:
+        columns.update(zip(CONTRASTS, result.contrasts.T))
+    _write(ResultTable(columns=columns, metadata=metadata), out_dir / "sweep", fmt)
     return EXIT_OK
 
 

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .analysis import CONTRASTS, MEASURES, SweepResult
 from .errors import InvalidInputError
 
-__all__ = ["ResultTable", "sweep_table", "write_csv", "read_csv", "write_json"]
+__all__ = ["ResultTable", "write_csv", "read_csv", "write_json"]
 
 _INT_COLUMNS = {"stable"}
 
@@ -37,40 +35,6 @@ class ResultTable:
                 raise InvalidInputError(f"column {name!r} must be a 1-D float or integer array")
             if len(cells) != expected:
                 raise InvalidInputError(f"column {name!r} has {len(cells)} cells, expected {expected}")
-
-
-def sweep_table(
-    result: SweepResult,
-    axis_columns: Sequence[tuple[str, Sequence[float]]],
-    extra_metadata: Sequence[tuple[str, str]] = (),
-) -> ResultTable:
-    """Flatten a SweepResult into a table.
-
-    ``axis_columns`` names the axis columns and gives their display-unit
-    grids (one per axis, same lengths as the sweep grids).  The metadata
-    counts stable and unstable points, and failed points when there are
-    any.
-    """
-    if len(axis_columns) != len(result.axes) or any(
-        len(grid) != len(axis) for (_, grid), (_, axis) in zip(axis_columns, result.axes)
-    ):
-        raise InvalidInputError("axis_columns must match the sweep axes in count and length")
-
-    mesh = np.meshgrid(*(np.asarray(grid, dtype=float) for _, grid in axis_columns), indexing="ij")
-    columns = {name: axis.ravel() for (name, _), axis in zip(axis_columns, mesh)}
-    columns["stable"] = result.stable.astype(int)
-    columns.update(zip(MEASURES, result.measures.T))
-    if result.contrasts is not None:
-        columns.update(zip(CONTRASTS, result.contrasts.T))
-
-    n_stable = int(result.stable.sum())
-    metadata = list(extra_metadata)
-    metadata.append(("stable_points", str(n_stable)))
-    metadata.append(("unstable_points", str(len(result.stable) - n_stable)))
-    n_failed = int(result.failed.sum())
-    if n_failed:
-        metadata.append(("failed_points", str(n_failed)))
-    return ResultTable(columns=columns, metadata=metadata)
 
 
 def _fields(cells: np.ndarray) -> list[str]:

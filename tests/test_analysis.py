@@ -64,6 +64,10 @@ class TestContrastRatio:
         assert contrast(0.0, 0.0) == 0.0
         assert contrast(1e-13, 0.0) == 0.0  # below the floor
 
+    def test_floor_is_1e_minus_12(self):
+        assert contrast(1.2e-12, 0.0) == 1.0
+        assert contrast(0.9e-12, 0.0) == 0.0
+
     @settings(max_examples=200, deadline=None)
     @given(
         f=st.floats(0.0, 10.0, allow_nan=False),

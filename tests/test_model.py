@@ -22,7 +22,7 @@ from magsqueeze import (
     validity_report,
 )
 from magsqueeze.errors import NO_FIXED_POINT, NON_FINITE, OK, RESONANCE, verdict_error
-from magsqueeze.model import derive_many
+from magsqueeze.model import _amplitude, derive_many
 
 from conftest import BASE_PARAMS, KAPPA_A, TWO_PI, make_params
 
@@ -300,6 +300,13 @@ class TestSteadyAmplitude:
         # the amplitude is the limit 0.
         derived = derive_many([driven_params(delta_m=TWO_PI * 1e200)])
         assert (derived.code[0], derived.m_s[0]) == (OK, 0.0)
+
+    def test_pole_width(self):
+        # No split and no load: M = [[1, delta], [-delta, -1]], so det M = delta^2 - 1 and
+        # the pole's bound 1e-6 |M|_F^2 / 2 = 1e-6 (1 + delta^2) is 2e-6 near delta = 1.
+        system = np.array([1.0, -1.0, 0.0, 0.0, 1.0])
+        _, pole = _amplitude(system, np.sqrt(1.0 + np.array([4e-6, 1e-6])))
+        assert pole.tolist() == [False, True]
 
     def test_phonon_shift_lowers_amplitude_backaction(self):
         p = driven_params()
