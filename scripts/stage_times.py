@@ -24,7 +24,9 @@ The run is stored under ``--label`` in the JSON file ``--output`` (other
 labels in that file are kept; stage runs under ``runs``, launch runs under
 ``launch_runs``), with the repeat count, the git sha of the timed checkout,
 the hash of the git tree of the timed ``src`` directory (with any uncommitted
-changes to it), the machine and the numpy and BLAS versions.  ``--src`` times
+changes to it), the machine, the numpy and BLAS versions and the OpenBLAS
+kernel set that ran (``blas_core``, such as SkylakeX or Haswell; null where
+numpy's bundled OpenBLAS does not name it).  ``--src`` times
 another checkout's ``src`` directory with the same inputs.
 
 Usage:
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import importlib
 import io
 import json
@@ -119,12 +122,26 @@ def _machine() -> dict[str, object]:
             "system": platform.system(), "python": platform.python_version()}
 
 
+def _openblas_core() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU (or ``OPENBLAS_CORETYPE``)."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                        *package.glob(".dylibs/libscipy_openblas64_*")]):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def _versions() -> dict[str, object]:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     threads = {name: os.environ.get(name) for name in
                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": threads}
+            "blas_core": _openblas_core(), "blas_threads": threads}
 
 
 def _runners(src: Path, out: Path):

@@ -81,11 +81,9 @@ VERDICTS: tuple[tuple[str, type[MagsqueezeError] | None, str], ...] = (
     ("not_definite", InvalidInputError, "symplectic spectrum requires a positive definite matrix"),
     ("ill_conditioned", NumericalError,
      f"covariance matrix condition number {{:.3e}} exceeds bound {CONDITION_BOUND:.0e}"),
-    ("non_positive_spectrum", InvalidStateError,
-     "partial transpose produced a non-positive spectrum"),
 )
 (OK, RESONANCE, NO_FIXED_POINT, NON_FINITE, UNSTABLE, RESIDUAL, UNPHYSICAL, NOT_DEFINITE,
- ILL_CONDITIONED, NON_POSITIVE_SPECTRUM) = range(len(VERDICTS))
+ ILL_CONDITIONED) = range(len(VERDICTS))
 
 
 def verdict_error(code: int, value: float = math.nan) -> MagsqueezeError:

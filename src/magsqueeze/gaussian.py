@@ -21,14 +21,12 @@ from numpy.typing import NDArray
 from .errors import (
     CONDITION_BOUND,
     ILL_CONDITIONED,
-    NON_POSITIVE_SPECTRUM,
     NOT_DEFINITE,
     OK,
     UNPHYSICAL,
     InvalidInputError,
     InvalidStateError,
     raise_first,
-    verdict_error,
 )
 
 __all__ = [
@@ -133,11 +131,7 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
 
 
 def _symplectic_spectra(arr: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Ascending symplectic spectra of a positive definite (..., 2n, 2n) stack, via Cholesky.
-
-    Raises numpy's ``LinAlgError`` if a factorization fails (possible near 1/eps
-    conditioning, far above ``CONDITION_BOUND``).
-    """
+    """Ascending symplectic spectra of a positive definite (..., 2n, 2n) stack, via Cholesky."""
     n = arr.shape[-1] // 2
     factor = np.linalg.cholesky(arr)
     hermitian = 1j * (np.swapaxes(factor, -1, -2) @ symplectic_form(n) @ factor)
@@ -177,6 +171,9 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     NumericalError
         If ``v`` has a condition number above 1e7, where rounding alone
         gives a product state a negativity above 1e-9.
+
+    A state that passes these checks has a positive smallest symplectic
+    eigenvalue (proof in ``three_mode_measures``), so the logarithm is finite.
     """
     modes = partition.modes
     if modes[-1] >= v.n_modes:
@@ -187,10 +184,7 @@ def log_negativity(v: CovarianceMatrix, partition: Partition) -> float:
     quadratures, signs = _transposition(partition)
     transposed = v.data[np.ix_(quadratures, quadratures)] * signs
     # V passed the exact checks, so the partial transpose factors (see three_mode_measures).
-    nu_min = float(_symplectic_spectra(transposed)[0])
-    if nu_min <= 0.0:
-        raise verdict_error(NON_POSITIVE_SPECTRUM)
-    return max(0.0, -float(np.log(2.0 * nu_min)))
+    return max(0.0, -float(np.log(2.0 * _symplectic_spectra(transposed)[0])))
 
 
 def _residual_tangle(negativities: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -318,28 +312,32 @@ def three_mode_measures(
     scalar path's exact checks (``_exact_verdicts``).  The states that pass are
     factored as (n, 3, 4, 4) and (n, 3, 6, 6) partial transposes.  Returns an
     (n, 4) array, NaN in the row of a failing state, and per state the verdict
-    code (``errors.VERDICTS``: unphysical, not_definite, ill_conditioned or
-    non_positive_spectrum, the first that fails) and the float its message
-    quotes (the condition number where ill-conditioned, NaN where ok, else the
-    uncertainty floor).
+    code (``errors.VERDICTS``: unphysical, not_definite or ill_conditioned,
+    the first that fails) and the float its message quotes (the condition
+    number where ill-conditioned, NaN where ok, else the uncertainty floor).
+    A state that passes all three has a positive symplectic spectrum, so
+    every negativity of its row is finite.
     """
     code, value = np.zeros(stack.shape[0], dtype=np.int8), np.full(stack.shape[0], np.nan)
     exact = ~_certified(stack)
     if exact.any():
         code[exact], value[exact] = _exact_verdicts(stack[exact])
-    # Each partial transpose is an orthogonal similarity of V or of a principal submatrix, so
-    # all six are positive definite iff V is, and no worse conditioned than V; below the
-    # bound their Cholesky factorizations succeed (Higham, Accuracy and Stability, Thm 10.7).
+    # A state gets here only with cond(V) <= CONDITION_BOUND (_certified proves a quarter of it,
+    # _exact_verdicts checks it).  Each partial transpose T is an orthogonal similarity of V or
+    # of a principal submatrix, so lambda(T) lies in [lambda_min(V), lambda_max(V)] and all six
+    # factor (Higham, Accuracy and Stability, Thm 10.7).  nu_min(T) is the smallest singular
+    # value of T^1/2 Omega T^1/2, Omega orthogonal, so nu_min(T) >= lambda_min(T); eigvalsh errs
+    # by O(n eps lambda_max), so every computed nu is positive, by a factor above 1e7.
     factored = code == OK
     v, nu = stack[factored], np.full((stack.shape[0], 6), np.nan)
     pairs = v[:, _PAIR_QUADRATURES[:, :, None], _PAIR_QUADRATURES[:, None, :]] * _PAIR_SIGNS
     nu[factored] = np.concatenate(
         [_symplectic_spectra(t)[..., 0] for t in (pairs, v[:, None] * _FOCUS_SIGNS)], axis=1
     )
-    code[factored & ~(nu > 0.0).all(axis=1)] = NON_POSITIVE_SPECTRUM
-    with np.errstate(invalid="ignore", divide="ignore"):
-        negativities = np.maximum(0.0, -np.log(2.0 * nu))
-        out = np.column_stack([negativities[:, :3], _residual_tangle(negativities)])
+    negativities = np.maximum(0.0, -np.log(2.0 * nu))
+    out = np.column_stack([negativities[:, :3], _residual_tangle(negativities)])
+    # Canonical NaN bits: np.log signs a failing row's NaN by batch size (0xfff8... in a batch,
+    # 0x7ff8... alone), and each row must have the same bytes in a batch of any size.
     out[code != OK] = np.nan
     value[code == OK] = np.nan
     return out, code, value

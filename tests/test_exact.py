@@ -10,7 +10,8 @@ eigenvalue to a float, which moves the sampled contrasts by at most 3e-11 (row 2
 of contrast_driven) from an all-40-digit route.
 
 The oracle cannot see an error upstream of the drift: it checks the Lyapunov
-solve, the spectra and the measures, not the model.
+solve, the spectra and the measures, not the model.  The one model fault it has
+helped to place, an unphysical steady state at a stable point, is pinned below.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from magsqueeze import evaluate, sweep
+from magsqueeze import evaluate, sweep, symplectic_form
 from magsqueeze.config import RunConfig, build_run_config, load_config
-from magsqueeze.errors import OK
+from magsqueeze.errors import OK, UNPHYSICAL
+from magsqueeze.gaussian import PHYSICALITY_TOL
 from magsqueeze.model import derive_many, diffusion_stack, drift_stack, gather
 
+from conftest import KAPPA_A, make_params
 from test_symplectic import exact_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,3 +138,30 @@ def test_sampled_cells_match_exact(name):
                 float(abs(have - exact_contrast(f, b))) for have, f, b in zip(contrasts, *exact)))
     assert measure_distance <= MEASURE_ATOL, f"{name}: a measure is {measure_distance:.3g} off"
     assert contrast_distance <= CONTRAST_ATOL, f"{name}: a contrast is {contrast_distance:.3g} off"
+
+
+def exact_floor(v: np.ndarray):
+    """Smallest eigenvalue of V + (i/2) Omega for a 40-digit state."""
+    omega = symplectic_form(v.shape[0] // 2)
+    with mpmath.workdps(DIGITS):
+        form = mpmath.matrix([[v[i, j] + mpmath.mpc(0, omega[i, j] / 2) for j in range(len(v))]
+                              for i in range(len(v))])
+        return min(mpmath.eighe(form, eigvals_only=True))
+
+
+def test_unphysical_stable_point_comes_from_the_phonon_bath():
+    # A stable point whose steady state breaks the uncertainty bound at T = 0.  The solve is
+    # exact to rounding there; the model's Brownian phonon bath, with damping and noise on p
+    # only, is not completely positive, and with squeezing the steady state crosses the bound.
+    params = make_params(upsilon=0.5625 * KAPPA_A, theta=4.375, g_a=0.75 * KAPPA_A, temperature=0.0)
+    evaluation = evaluate([params])
+    assert evaluation.code[0] == UNPHYSICAL
+    columns = gather([params])
+    drift, diffusion = drift_stack(columns, derive_many(columns))[0], diffusion_stack(columns)[0]
+    floor = exact_floor(exact_covariance(drift, diffusion))
+    assert floor < -PHYSICALITY_TOL
+    assert abs(float(floor) - evaluation.value[0]) <= 1e-15
+    # The phonon block in Lindblad form: damping gamma_b/2 and noise gamma_b(2n_b+1)/2 on q and p.
+    drift[4, 4] = drift[5, 5] = drift[5, 5] / 2.0
+    diffusion[4, 4] = diffusion[5, 5] = diffusion[5, 5] / 2.0
+    assert exact_floor(exact_covariance(drift, diffusion)) > 0.0

@@ -19,6 +19,7 @@ from magsqueeze import (
     solve_lyapunov,
     stability,
 )
+from magsqueeze.errors import OK
 from magsqueeze.gaussian import PHYSICALITY_TOL, _uncertainty_floor
 from magsqueeze.solver import steady_stack
 
@@ -212,6 +213,27 @@ class TestSteadyStack:
     def test_working_point_matches_kronecker_solve(self):
         params = make_params()
         assert_stack_matches_oracle(build_drift(params)[None], build_diffusion(params)[None])
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_diffusion_has_the_zero_steady_state(self):
+        # Both residual floors (1e-300 on the scale, 1.0 on |Lambda / scale|) keep this from
+        # being 0/0, which would warn and then give the residual verdict.
+        gamma, lam = build_drift(make_params()), np.zeros((6, 6))
+        assert np.array_equal(solve_lyapunov(gamma, lam).data, lam)
+        _, covariances, code, value = steady_stack(gamma[None], lam[None])
+        assert np.array_equal(covariances[0], lam)
+        assert code[0] == OK and value[0] == 0.0
+
+    def test_value_of_a_stable_point_is_its_relative_residual(self):
+        # |Lambda / max|Lambda||_F is 1.44 here: the floor of 1.0 under it is inert, but any
+        # floor above 1.44 would shrink the quoted residual.
+        params = make_params()
+        gamma, lam = build_drift(params), build_diffusion(params)
+        _, covariances, code, value = steady_stack(gamma[None], lam[None])
+        v = covariances[0]
+        want = np.linalg.norm(gamma @ v + v @ gamma.T + lam) / np.linalg.norm(lam)
+        assert code[0] == OK and want > 0.0
+        np.testing.assert_allclose(value[0], want, rtol=1e-12)
 
 
 class TestEvolveCovariance:

@@ -218,18 +218,6 @@ def test_each_pair_rejects_an_indefinite_state(mode):
     assert_verdicts_match_scalar(state.data[None])
 
 
-def test_non_positive_spectrum_verdict_matches_the_scalar_path(monkeypatch):
-    # No physical, positive definite state has a zero symplectic eigenvalue
-    # in exact arithmetic, so the shared helper is made to return one.
-    real = gaussian._symplectic_spectra
-    monkeypatch.setattr(gaussian, "_symplectic_spectra", lambda arr: 0.0 * real(arr))
-    stack = np.array([0.5 * np.eye(6), 0.4 * np.eye(6), indefinite_state()])
-    errors = assert_verdicts_match_scalar(stack)
-    assert isinstance(errors[0], InvalidStateError) and "non-positive" in str(errors[0])
-    assert "uncertainty bound" in str(errors[1])
-    assert isinstance(errors[2], InvalidInputError)
-
-
 def squeezed_beside_vacua(
     rng: np.random.Generator, low: float = 6.0, high: float = 9.0
 ) -> np.ndarray:
